@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -37,6 +38,14 @@ def _coerce(name: str, raw: str, typ) -> object:
     except ValueError:
         raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
     raise ConfigError(f"unsupported config field type for {name!r}")
+
+
+def check_finite_floats(cfg) -> None:
+    """Reject every float field of a config dataclass that is nan or infinite."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def parse_flat(text: str, cls, instance=None):
@@ -111,6 +120,7 @@ class RunConfig:
     disable_openmix: bool = False
 
     def validate(self) -> "RunConfig":
+        check_finite_floats(self)
         if not 0.0 < self.theta1 < 1.0:
             raise ConfigError("theta1 must be in (0, 1)")
         if not 0.5 < self.theta2 < 1.0:
@@ -121,6 +131,10 @@ class RunConfig:
             raise ConfigError("epsilon must be > 0")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
+        if not 0.0 <= self.rmsprop_rho < 1.0:
+            raise ConfigError("rmsprop_rho must be in [0, 1)")
+        if self.rmsprop_eps <= 0:
+            raise ConfigError("rmsprop_eps must be > 0")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_mixed) < 1:
             raise ConfigError("batch sizes must be >= 1")
         if min(self.pretrain_epochs, self.cluster_epochs, self.freeze_epochs) < 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, parse_flat
+from .config import ConfigError, check_finite_floats, parse_flat
 
 
 class DataFormatError(Exception):
@@ -148,6 +148,7 @@ class SplitSpec:
     seed: int = 0
 
     def validate(self) -> "SplitSpec":
+        check_finite_floats(self)
         if self.c_l < 1:
             raise ConfigError("c_l must be >= 1")
         if self.c_u < 2:

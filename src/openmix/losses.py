@@ -120,13 +120,6 @@ def pll_loss(
     return loss, grad
 
 
-def uc_loss(ppl: float, pll: float, lambda1: float) -> float:
-    """Weighted clustering objective: ppl + lambda1 * pll."""
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be >= 0")
-    return ppl + lambda1 * pll
-
-
 def cross_entropy(z: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of logits against one-hot targets, with gradient."""
     z = np.asarray(z, dtype=np.float64)

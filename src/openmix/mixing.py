@@ -4,11 +4,13 @@ Labels live in a joint space of length C_l + C_u: old classes first, new
 classes after. Labeled examples are certain about old classes and carry
 exact zeros on the new block; unlabeled predictions get zeros on the old
 block. Mixed examples interpolate both inputs and labels with a weight
-eta* = max(eta, 1 - eta) >= 0.5 so the first argument dominates.
+eta* = max(eta, 1 - eta) >= 0.5 so the partner (a labeled example or an
+anchor) dominates the unlabeled example it is mixed with.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,52 +21,30 @@ from .nn import softmax, softmax_backward
 _NORM_FLOOR = 1e-12
 
 
-def _check_one_hot(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("one-hot label must be a vector")
-    ones = np.count_nonzero(y == 1.0)
-    if ones != 1 or np.count_nonzero(y) != 1:
-        raise ValueError("label must be exactly one-hot")
-    return y
+def sample_mix_weight(
+    epsilon: float, rng: np.random.Generator, size: int | None = None
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Draw eta ~ Beta(epsilon, epsilon) and fold it to eta* = max(eta, 1-eta).
 
-
-def _check_simplex(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("distribution must be a vector")
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("distribution must be nonnegative and sum to 1")
-    return p
-
-
-def extend_labeled(onehot_l: np.ndarray, c_u: int) -> np.ndarray:
-    """[one-hot over old classes] ++ [zeros over new classes]."""
-    y = _check_one_hot(onehot_l)
-    return np.concatenate([y, np.zeros(c_u)])
-
-
-def extend_unlabeled(dist_u: np.ndarray, c_l: int) -> np.ndarray:
-    """[zeros over old classes] ++ [distribution over new classes]."""
-    p = _check_simplex(dist_u)
-    return np.concatenate([np.zeros(c_l), p])
-
-
-def sample_mix_weight(epsilon: float, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw eta ~ Beta(epsilon, epsilon) and fold it to eta* = max(eta, 1-eta)."""
+    With size=None both are scalars; with an int size both are (size,)
+    arrays. One draw of `size` gives the same values, and leaves the rng in
+    the same state, as `size` scalar draws.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    eta = float(rng.beta(epsilon, epsilon))
-    return eta, max(eta, 1.0 - eta)
+    eta = rng.beta(epsilon, epsilon, size=size)
+    return eta, np.maximum(eta, 1.0 - eta)
 
 
-@dataclass
-class MixedExample:
-    m: np.ndarray  # mixed input vector
-    v: np.ndarray  # joint label, length c_l + c_u
-    eta: float
-    eta_star: float
-    source: str  # "labeled-mix" or "anchor-mix"
+def _check_one_hot(y: np.ndarray) -> None:
+    if np.any(np.count_nonzero(y, axis=1) != 1) or np.any((y == 1.0).sum(axis=1) != 1):
+        raise ValueError("labeled rows must be exactly one-hot")
+
+
+def _check_simplex(p: np.ndarray, what: str) -> None:
+    # written as "not ok" so that NaN fails too
+    if not (p.min() >= 0.0 and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9):
+        raise ValueError(f"{what} must be nonnegative and sum to 1")
 
 
 @dataclass
@@ -93,68 +73,36 @@ def select_anchors(z_u_pool: np.ndarray, theta2: float, soft: bool = False) -> A
     return AnchorSet(idx.astype(np.int64), labels)
 
 
-def mix_with_labeled(
-    x_l: np.ndarray,
-    onehot_l: np.ndarray,
-    x_u: np.ndarray,
-    pred_u: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> MixedExample:
-    """Mix a labeled example with an unlabeled one; the labeled side dominates."""
-    x_l = np.asarray(x_l, dtype=np.float64)
-    x_u = np.asarray(x_u, dtype=np.float64)
-    if x_l.shape != x_u.shape:
-        raise ValueError("feature dimensions differ")
-    c_u = np.asarray(pred_u).shape[0]
-    c_l = np.asarray(onehot_l).shape[0]
-    eta, eta_star = sample_mix_weight(epsilon, rng)
-    m = eta_star * x_l + (1.0 - eta_star) * x_u
-    v = eta_star * extend_labeled(onehot_l, c_u) + (1.0 - eta_star) * extend_unlabeled(
-        pred_u, c_l
-    )
-    return MixedExample(m, v, eta, eta_star, "labeled-mix")
-
-
-def mix_with_anchor(
-    x_anchor: np.ndarray,
-    label_anchor: np.ndarray,
-    x_u: np.ndarray,
-    pred_u: np.ndarray,
-    c_l: int,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> MixedExample:
-    """Mix a reliable anchor with an unlabeled example; both labels sit in the new block."""
-    x_anchor = np.asarray(x_anchor, dtype=np.float64)
-    x_u = np.asarray(x_u, dtype=np.float64)
-    if x_anchor.shape != x_u.shape:
-        raise ValueError("feature dimensions differ")
-    eta, eta_star = sample_mix_weight(epsilon, rng)
-    m = eta_star * x_anchor + (1.0 - eta_star) * x_u
-    v = eta_star * extend_unlabeled(label_anchor, c_l) + (
-        1.0 - eta_star
-    ) * extend_unlabeled(pred_u, c_l)
-    return MixedExample(m, v, eta, eta_star, "anchor-mix")
-
-
 def build_mixed_batch(
     size: int,
     labeled_x: np.ndarray,
     labeled_onehot: np.ndarray,
     unlabeled_x: np.ndarray,
-    pred_u: np.ndarray,
+    predict_u: Callable[[np.ndarray], np.ndarray],
     anchors: AnchorSet | None,
     epsilon: float,
     rng: np.random.Generator,
     use_labeled: bool,
     use_anchors: bool,
-) -> list[MixedExample]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Assemble one mixed batch by uniform pairing with replacement.
 
-    When both sources are active each row flips a fair coin between them.
-    Draw order is fixed (sources, labeled rows, anchor rows, unlabeled rows,
-    then per-row mixing weights) so a seeded rng reproduces the batch.
+    Row i mixes a drawn unlabeled row with a partner: a labeled example when
+    from_labeled[i], else an anchor. When both sources are active each row
+    flips a fair coin between them. Returns (m, v, eta_star, from_labeled):
+    mixed inputs (B, d), joint labels (B, C_l + C_u), the partner's folded
+    weight (B,) and the source flag (B,). A labeled row's label is
+    [one-hot ++ zeros], an anchor's and a prediction's [zeros ++ distribution].
+
+    Draw order is fixed so a seeded rng reproduces the batch: the sources
+    (only when both are active), the labeled rows, the anchor rows, the
+    unlabeled rows, then the B mixing weights. Predictions are asked for
+    only after every draw: predict_u is called once, with the (B,) drawn
+    unlabeled row indices in row order (repeats included), and returns
+    their (B, C_u) distributions over the new classes.
+
+    Raises ValueError when a drawn labeled row is not exactly one-hot, or a
+    drawn prediction or anchor label is not a distribution.
     """
     if size < 1:
         raise ValueError("batch size must be >= 1")
@@ -162,41 +110,47 @@ def build_mixed_batch(
         raise ValueError("at least one mixing source must be active")
     if use_anchors and (anchors is None or len(anchors) == 0):
         raise ValueError("anchor mixing requested with an empty anchor set")
+    if labeled_x.shape[1] != unlabeled_x.shape[1]:
+        raise ValueError("feature dimensions differ")
     c_l = labeled_onehot.shape[1]
 
     if use_labeled and use_anchors:
         from_labeled = rng.integers(0, 2, size=size).astype(bool)
     else:
         from_labeled = np.full(size, use_labeled)
+    from_anchor = ~from_labeled
     n_lab = int(from_labeled.sum())
     lab_rows = rng.integers(0, labeled_x.shape[0], size=n_lab) if n_lab else np.empty(0, np.int64)
     anc_rows = (
         rng.integers(0, len(anchors), size=size - n_lab) if size - n_lab else np.empty(0, np.int64)
     )
     unl_rows = rng.integers(0, unlabeled_x.shape[0], size=size)
+    _, eta_star = sample_mix_weight(epsilon, rng, size)
 
-    out: list[MixedExample] = []
-    lab_i = anc_i = 0
-    for row in range(size):
-        j = unl_rows[row]
-        if from_labeled[row]:
-            i = lab_rows[lab_i]
-            lab_i += 1
-            out.append(
-                mix_with_labeled(
-                    labeled_x[i], labeled_onehot[i], unlabeled_x[j], pred_u[j], epsilon, rng
-                )
-            )
-        else:
-            k = anc_rows[anc_i]
-            anc_i += 1
-            a = anchors.indices[k]
-            out.append(
-                mix_with_anchor(
-                    unlabeled_x[a], anchors.labels[k], unlabeled_x[j], pred_u[j], c_l, epsilon, rng
-                )
-            )
-    return out
+    pred = np.asarray(predict_u(unl_rows), dtype=np.float64)
+    if pred.ndim != 2 or pred.shape[0] != size:
+        raise ValueError("predict_u must return one distribution per drawn row")
+    _check_simplex(pred, "predictions")
+    c_u = pred.shape[1]
+
+    partner_x = np.empty((size, labeled_x.shape[1]))
+    partner_v = np.zeros((size, c_l + c_u))
+    if n_lab:
+        _check_one_hot(labeled_onehot[lab_rows])
+        partner_x[from_labeled] = labeled_x[lab_rows]
+        partner_v[from_labeled, :c_l] = labeled_onehot[lab_rows]
+    if size - n_lab:
+        anc_labels = anchors.labels[anc_rows]
+        _check_simplex(anc_labels, "anchor labels")
+        partner_x[from_anchor] = unlabeled_x[anchors.indices[anc_rows]]
+        partner_v[from_anchor, c_l:] = anc_labels
+    own_v = np.zeros((size, c_l + c_u))
+    own_v[:, c_l:] = pred
+
+    w = eta_star[:, None]
+    m = w * partner_x + (1.0 - w) * unlabeled_x[unl_rows]
+    v = w * partner_v + (1.0 - w) * own_v
+    return m, v, eta_star, from_labeled
 
 
 def opm_loss(

@@ -145,52 +145,51 @@ def _check_batch(model: TwoHeadMLP, batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _backbone_forward(model: TwoHeadMLP, x: np.ndarray) -> list[np.ndarray]:
-    """Activations after each backbone layer; the last entry is the feature."""
+def forward(
+    model: TwoHeadMLP, batch: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Run the network; returns (activations, old-head logits, new-head logits).
+
+    The activations are the backbone's outputs, one per layer, the last
+    being the feature; backward() takes them so it need not recompute them.
+    """
+    h = _check_batch(model, batch)
     acts = []
-    h = x
     last = len(model.backbone) - 1
     for i, layer in enumerate(model.backbone):
         h = h @ layer.w + layer.b
         if i < last:
             h = np.maximum(h, 0.0)
         acts.append(h)
-    return acts
-
-
-def forward(
-    model: TwoHeadMLP, batch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the network; returns (features, old-head logits, new-head logits)."""
-    x = _check_batch(model, batch)
-    feats = _backbone_forward(model, x)[-1]
-    z_l = feats @ model.old_head.w + model.old_head.b
-    z_u = feats @ model.new_head.w + model.new_head.b
-    return feats, z_l, z_u
+    z_l = acts[-1] @ model.old_head.w + model.old_head.b
+    z_u = acts[-1] @ model.new_head.w + model.new_head.b
+    return acts, z_l, z_u
 
 
 def backward(
     model: TwoHeadMLP,
     batch: np.ndarray,
+    acts: list[np.ndarray],
     grad_z_l: np.ndarray,
     grad_z_u: np.ndarray,
 ) -> TwoHeadMLP:
     """Gradients of sum(grad_z_l * z_l) + sum(grad_z_u * z_u) w.r.t. all parameters.
 
-    Returns a TwoHeadMLP-shaped container holding one gradient array per
-    parameter. Gradients are produced for every parameter group; freezing
-    is the caller's job (mask before the optimizer step).
+    acts are the activations forward() returned for this batch. Returns a
+    TwoHeadMLP-shaped container holding one gradient array per parameter.
+    Gradients are produced for every parameter group; freezing is the
+    caller's job (mask before the optimizer step).
     """
-    x = _check_batch(model, batch)
+    x = np.asarray(batch, dtype=np.float64)
     g_l = np.asarray(grad_z_l, dtype=np.float64)
     g_u = np.asarray(grad_z_u, dtype=np.float64)
     n = x.shape[0]
+    if len(acts) != len(model.backbone) or acts[-1].shape != (n, model.feature_dim):
+        raise ValueError("activations do not match the model and batch")
     if g_l.shape != (n, model.c_l) or g_u.shape != (n, model.c_u):
         raise ValueError("upstream gradient shapes do not match head outputs")
 
-    acts = _backbone_forward(model, x)
     feats = acts[-1]
-
     d_old = Affine(feats.T @ g_l, g_l.sum(axis=0))
     d_new = Affine(feats.T @ g_u, g_u.sum(axis=0))
     d_h = g_l @ model.old_head.w.T + g_u @ model.new_head.w.T

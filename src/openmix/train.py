@@ -63,6 +63,14 @@ def _check_finite(value: float, component: str, epoch: int) -> None:
         raise DivergenceError(f"{component} became non-finite at epoch {epoch}")
 
 
+def _forward(model: nn.TwoHeadMLP, x: np.ndarray, component: str, epoch: int):
+    """nn.forward, raising DivergenceError when either head's logits are non-finite."""
+    acts, z_l, z_u = nn.forward(model, x)
+    if not (np.isfinite(z_l).all() and np.isfinite(z_u).all()):
+        raise DivergenceError(f"{component} logits became non-finite at epoch {epoch}")
+    return acts, z_l, z_u
+
+
 def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float:
     """Stage 1: cross-entropy on old classes. Returns final training accuracy.
 
@@ -77,12 +85,12 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for idx in batch_iter(labeled, cfg.batch_labeled, seed, epoch):
             x = labeled.x[idx]
-            _, z_l, _ = nn.forward(model, x)
+            acts, z_l, _ = _forward(model, x, "labeled-batch", epoch)
             loss, g_l = losses.cross_entropy(z_l, onehot[idx])
             _check_finite(loss, "cross-entropy loss", epoch)
-            grads = nn.backward(model, x, g_l, np.zeros((x.shape[0], model.c_u)))
+            grads = nn.backward(model, x, acts, g_l, np.zeros((x.shape[0], model.c_u)))
             opt.step(model, grads)
-    _, z_l, _ = nn.forward(model, labeled.x)
+    _, z_l, _ = _forward(model, labeled.x, "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
 
 
@@ -151,7 +159,7 @@ def cluster_train(
     reports: list[EpochReport] = []
     warned_no_anchors = False
     for epoch in range(1, cfg.cluster_epochs + 1):
-        _, _, z_u_pool = nn.forward(model, unlabeled.x)
+        _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", epoch)
         anchors = mixing.select_anchors(
             z_u_pool, cfg.theta2, soft=cfg.anchor_labels == "soft"
         )
@@ -173,11 +181,16 @@ def cluster_train(
         mix_active = openmix_on and (want_labeled or want_anchor)
         mix_rng = np.random.default_rng([mix_seed, epoch])
 
+        def predict_u(rows: np.ndarray) -> np.ndarray:
+            # mixing targets come from the current parameters, as constants
+            _, _, z = _forward(model, unlabeled.x[rows], "mixed-target", epoch)
+            return nn.softmax(z)
+
         ppl_sum = pll_sum = opm_sum = 0.0
         n_batches = 0
         for idx in batch_iter(unlabeled, cfg.batch_unlabeled, batch_seed, epoch):
             x = unlabeled.x[idx]
-            _, _, z_u = nn.forward(model, x)
+            acts, _, z_u = _forward(model, x, "unlabeled-batch", epoch)
             s = losses.similarity_matrix(z_u)
             w = losses.pair_labels(s, cfg.theta1)
             ppl, g_ppl = losses.ppl_loss(z_u, w)
@@ -187,34 +200,29 @@ def cluster_train(
             _check_finite(pll, "pseudo-label loss", epoch)
             g_zu = g_ppl + cfg.lambda1 * g_pll
             grads = nn.backward(
-                model, x, np.zeros((x.shape[0], model.c_l)), g_zu
+                model, x, acts, np.zeros((x.shape[0], model.c_l)), g_zu
             )
 
             if mix_active:
-                # targets come from the current parameters, as constants
-                _, _, z_u_now = nn.forward(model, unlabeled.x)
-                pred_now = nn.softmax(z_u_now)
-                batch = mixing.build_mixed_batch(
+                m, v, _, _ = mixing.build_mixed_batch(
                     cfg.batch_mixed,
                     labeled.x,
                     onehot,
                     unlabeled.x,
-                    pred_now,
+                    predict_u,
                     anchors,
                     cfg.epsilon,
                     mix_rng,
                     use_labeled=want_labeled,
                     use_anchors=want_anchor,
                 )
-                m = np.stack([ex.m for ex in batch])
-                v = np.stack([ex.v for ex in batch])
-                _, z_l_m, z_u_m = nn.forward(model, m)
+                acts_m, z_l_m, z_u_m = _forward(model, m, "mixed-batch", epoch)
                 opm, g_zl_m, g_zu_m = mixing.opm_loss(
                     z_l_m, z_u_m, v, cfg.opm_softmax
                 )
                 _check_finite(opm, "mixing loss", epoch)
                 grads_m = nn.backward(
-                    model, m, cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m
+                    model, m, acts_m, cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m
                 )
                 nn.add_scaled_(grads, grads_m)
                 opm_sum += opm

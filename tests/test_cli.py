@@ -2,8 +2,11 @@
 
 import contextlib
 import io
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -174,6 +177,26 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "theta1" in capsys.readouterr().err
 
 
+def test_non_finite_override_exits_2(pipeline, capsys):
+    rc = cli.main(["pretrain", "--config", str(pipeline.cfg), "--set", "lr=nan"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "lr must be finite" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_exits_3(pipeline, tmp_path, capsys):
+    rc = cli.main([
+        "pretrain", "--config", str(pipeline.cfg),
+        "--set", "lr=1e200", "--set", f"out_dir={tmp_path}",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: labeled-batch logits became non-finite at epoch 1")
+    assert not (tmp_path / cli.PRETRAIN_FILE).exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = cli.main(["pretrain", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2
@@ -246,14 +269,19 @@ def test_analyze_report_contents():
 
 
 def test_installed_entry_point_runs():
+    # without an installed omx, run the module the entry point would call
     exe = shutil.which("omx")
-    if exe is None:
-        pytest.skip("omx entry point not on PATH")
+    cmd = [exe] if exe else [sys.executable, "-m", "openmix.cli"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
     proc = subprocess.run(
-        [exe, "analyze", "--samples", "200", "--seed", "1"],
+        [*cmd, "analyze", "--samples", "200", "--seed", "1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("mixing-reliability report")

@@ -3,6 +3,7 @@
 import pytest
 
 from openmix.config import ConfigError, RunConfig, apply_overrides, load_run_config, parse_flat
+from openmix.data import SplitSpec
 
 
 def test_default_values():
@@ -99,6 +100,30 @@ def test_validate_rejects(field, value):
     cfg = RunConfig()
     setattr(cfg, field, value)
     with pytest.raises(ConfigError):
+        cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "cls,field,value",
+    [
+        (RunConfig, "lr", float("nan")),
+        (RunConfig, "lr", float("inf")),
+        (RunConfig, "lambda1", float("nan")),
+        (RunConfig, "lambda2", float("nan")),
+        (RunConfig, "epsilon", float("inf")),
+        (RunConfig, "rmsprop_rho", float("nan")),
+        (RunConfig, "rmsprop_rho", 1.0),
+        (RunConfig, "rmsprop_rho", -0.1),
+        (RunConfig, "rmsprop_eps", -1.0),
+        (RunConfig, "rmsprop_eps", 0.0),
+        (SplitSpec, "separation", float("nan")),
+        (SplitSpec, "sigma", float("inf")),
+    ],
+)
+def test_validate_rejects_non_finite_and_out_of_range(cls, field, value):
+    cfg = cls()
+    setattr(cfg, field, value)
+    with pytest.raises(ConfigError, match=field):
         cfg.validate()
 
 

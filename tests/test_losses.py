@@ -151,12 +151,6 @@ def test_pll_gradient_finite_difference():
     assert checked >= 5  # the loop must exercise nonempty assignments
 
 
-def test_uc_loss_combination():
-    assert losses.uc_loss(0.5, 0.25, 5.0) == 0.5 + 5.0 * 0.25
-    with pytest.raises(ValueError):
-        losses.uc_loss(0.5, 0.25, -1.0)
-
-
 def test_cross_entropy_frozen_and_gradient():
     z = np.array([[1.0, 2.0, 3.0]])
     y = np.array([[1.0, 0.0, 0.0]])

@@ -3,26 +3,56 @@
 import numpy as np
 import pytest
 
+import mixing_reference
 from openmix import mixing, nn
 from helpers import assert_grad_close, fd_grad
 
 
+def table(pred):
+    """A predict_u callable that looks rows up in a fixed (N, C_u) table."""
+    pred = np.asarray(pred, dtype=np.float64)
+    return lambda rows: pred[rows]
+
+
+def one_source_batch(size, labeled_x, onehot, unlabeled_x, pred, anchors, seed=0):
+    """A batch from the labeled source alone, or the anchors alone when given."""
+    return mixing.build_mixed_batch(
+        size, np.asarray(labeled_x, float), np.asarray(onehot, float),
+        np.asarray(unlabeled_x, float), table(pred), anchors, 1.0,
+        np.random.default_rng(seed), use_labeled=anchors is None,
+        use_anchors=anchors is not None,
+    )
+
+
 def test_extend_labeled_layout():
-    y = mixing.extend_labeled(np.array([0.0, 1.0, 0.0]), 2)
-    assert np.array_equal(y, np.array([0, 1.0, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        mixing.extend_labeled(np.array([0.5, 0.5, 0.0]), 2)
-    with pytest.raises(ValueError):
-        mixing.extend_labeled(np.array([1.0, 1.0, 0.0]), 2)
+    # labeled rows sit in the old block and the prediction in the new one
+    onehot = np.array([[0.0, 1.0, 0.0]])
+    pred = np.array([[0.25, 0.75]])
+    _, v, eta_star, _ = one_source_batch(5, np.zeros((1, 2)), onehot, np.zeros((1, 2)), pred, None)
+    w = eta_star[:, None]
+    assert np.array_equal(v[:, :3], w * onehot)
+    assert np.array_equal(v[:, 3:], (1 - w) * pred)
+    for bad in ([[0.5, 0.5, 0.0]], [[1.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError, match="one-hot"):
+            one_source_batch(5, np.zeros((1, 2)), bad, np.zeros((1, 2)), pred, None)
 
 
 def test_extend_unlabeled_layout():
-    p = mixing.extend_unlabeled(np.array([0.25, 0.75]), 3)
-    assert np.array_equal(p, np.array([0, 0, 0, 0.25, 0.75]))
-    with pytest.raises(ValueError):
-        mixing.extend_unlabeled(np.array([0.5, 0.6]), 3)
-    with pytest.raises(ValueError):
-        mixing.extend_unlabeled(np.array([-0.1, 1.1]), 3)
+    # anchor labels and predictions both sit in the new block
+    label_a = np.array([[0.25, 0.75]])
+    pred = np.array([[0.5, 0.5]])
+    anchors = mixing.AnchorSet(np.array([0]), label_a)
+    _, v, eta_star, _ = one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)),
+                                         pred, anchors)
+    w = eta_star[:, None]
+    assert np.array_equal(v[:, :3], np.zeros((5, 3)))
+    assert np.array_equal(v[:, 3:], w * label_a + (1 - w) * pred)
+    for bad in ([[0.5, 0.6]], [[-0.1, 1.1]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="predictions"):
+            one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), bad, None)
+        with pytest.raises(ValueError, match="anchor labels"):
+            one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), pred,
+                             mixing.AnchorSet(np.array([0]), np.array(bad)))
 
 
 def test_sample_mix_weight_fold_and_range():
@@ -34,6 +64,16 @@ def test_sample_mix_weight_fold_and_range():
         assert 0.5 <= eta_star <= 1.0
     with pytest.raises(ValueError):
         mixing.sample_mix_weight(0.0, rng)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.5, 1.0, 2.0])
+def test_sample_mix_weight_size_equals_scalar_draws(epsilon):
+    scalar_rng, batch_rng = np.random.default_rng(11), np.random.default_rng(11)
+    want = [mixing.sample_mix_weight(epsilon, scalar_rng) for _ in range(33)]
+    eta, eta_star = mixing.sample_mix_weight(epsilon, batch_rng, 33)
+    assert np.array_equal(eta, [e for e, _ in want])
+    assert np.array_equal(eta_star, [s for _, s in want])
+    assert scalar_rng.random() == batch_rng.random()
 
 
 def test_mix_weight_mean_at_epsilon_one():
@@ -50,34 +90,45 @@ def test_sample_mix_weight_seeded():
 
 
 def test_mix_with_labeled_structure():
-    rng = np.random.default_rng(2)
-    x_l = np.array([1.0, 0.0, 2.0])
-    x_u = np.array([0.0, 4.0, -2.0])
-    onehot = np.array([0.0, 1.0])
-    pred = np.array([0.3, 0.7, 0.0])
-    ex = mixing.mix_with_labeled(x_l, onehot, x_u, pred, 1.0, rng)
-    assert ex.source == "labeled-mix"
-    np.testing.assert_array_equal(ex.m, ex.eta_star * x_l + (1 - ex.eta_star) * x_u)
+    x_l = np.array([[1.0, 0.0, 2.0]])
+    x_u = np.array([[0.0, 4.0, -2.0]])
+    onehot = np.array([[0.0, 1.0]])
+    pred = np.array([[0.3, 0.7, 0.0]])
+    m, v, eta_star, from_labeled = one_source_batch(8, x_l, onehot, x_u, pred, None, seed=2)
+    assert from_labeled.all()
+    w = eta_star[:, None]
+    np.testing.assert_array_equal(m, w * x_l + (1 - w) * x_u)
     # old block carries exactly eta_star of mass, new block the rest
-    assert ex.v[:2].sum() == ex.eta_star
-    np.testing.assert_allclose(ex.v[2:], (1 - ex.eta_star) * pred, rtol=0, atol=1e-15)
-    assert abs(ex.v.sum() - 1.0) < 1e-12
+    assert np.array_equal(v[:, :2].sum(axis=1), eta_star)
+    np.testing.assert_allclose(v[:, 2:], (1 - w) * pred, rtol=0, atol=1e-15)
+    assert np.abs(v.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_mix_with_anchor_structure():
-    rng = np.random.default_rng(3)
-    x_a = np.array([1.0, 1.0])
-    x_u = np.array([-1.0, 0.0])
-    label_a = np.array([1.0, 0.0, 0.0])
-    pred = np.array([0.2, 0.5, 0.3])
-    ex = mixing.mix_with_anchor(x_a, label_a, x_u, pred, 2, 1.0, rng)
-    assert ex.source == "anchor-mix"
-    # the old-class block is exactly zero for anchor mixes
-    assert np.array_equal(ex.v[:2], np.zeros(2))
-    np.testing.assert_allclose(
-        ex.v[2:], ex.eta_star * label_a + (1 - ex.eta_star) * pred, rtol=0, atol=1e-15
+    # the anchor is row 0 of the pool; each mixed row draws row 0 or row 1
+    pool = np.array([[1.0, 1.0], [-1.0, 0.0]])
+    label_a = np.array([[1.0, 0.0, 0.0]])
+    preds = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
+    anchors = mixing.AnchorSet(np.array([0]), label_a)
+    drawn = []
+
+    def predict_u(rows):
+        drawn.append(rows)
+        return preds[rows]
+
+    m, v, eta_star, from_labeled = mixing.build_mixed_batch(
+        8, np.zeros((1, 2)), np.eye(2)[:1], pool, predict_u, anchors, 1.0,
+        np.random.default_rng(3), use_labeled=False, use_anchors=True,
     )
-    assert abs(ex.v.sum() - 1.0) < 1e-12
+    assert not from_labeled.any()
+    w, rows = eta_star[:, None], drawn[0]
+    np.testing.assert_array_equal(m, w * pool[0] + (1 - w) * pool[rows])
+    # the old-class block is exactly zero for anchor mixes
+    assert np.array_equal(v[:, :2], np.zeros((8, 2)))
+    np.testing.assert_allclose(
+        v[:, 2:], w * label_a + (1 - w) * preds[rows], rtol=0, atol=1e-15
+    )
+    assert np.abs(v.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_select_anchors_threshold_and_labels():
@@ -94,47 +145,102 @@ def test_select_anchors_threshold_and_labels():
     assert len(empty) == 0
 
 
+def mixing_inputs(seed=4, n_lab=10, n_unl=12, c_l=2, c_u=3, dim=4):
+    rng = np.random.default_rng(seed)
+    labeled_x = rng.normal(size=(n_lab, dim))
+    labeled_onehot = np.eye(c_l)[rng.integers(0, c_l, size=n_lab)]
+    unlabeled_x = rng.normal(size=(n_unl, dim))
+    pred_u = nn.softmax(rng.normal(size=(n_unl, c_u)))
+    return labeled_x, labeled_onehot, unlabeled_x, pred_u
+
+
 def test_build_mixed_batch_sources_and_determinism():
-    rng_data = np.random.default_rng(4)
-    labeled_x = rng_data.normal(size=(10, 4))
-    labeled_onehot = np.eye(2)[rng_data.integers(0, 2, size=10)]
-    unlabeled_x = rng_data.normal(size=(12, 4))
-    pred_u = nn.softmax(rng_data.normal(size=(12, 3)))
+    labeled_x, labeled_onehot, unlabeled_x, pred_u = mixing_inputs()
     anchors = mixing.AnchorSet(np.array([0, 5]), np.eye(3)[[0, 1]].astype(float))
 
-    batch = mixing.build_mixed_batch(
-        200, labeled_x, labeled_onehot, unlabeled_x, pred_u, anchors, 1.0,
-        np.random.default_rng(9), use_labeled=True, use_anchors=True,
-    )
-    assert len(batch) == 200
-    sources = {ex.source for ex in batch}
-    assert sources == {"labeled-mix", "anchor-mix"}
-    n_lab = sum(ex.source == "labeled-mix" for ex in batch)
+    def build(size, anchors, use_labeled, use_anchors):
+        return mixing.build_mixed_batch(
+            size, labeled_x, labeled_onehot, unlabeled_x, table(pred_u), anchors, 1.0,
+            np.random.default_rng(9), use_labeled=use_labeled, use_anchors=use_anchors,
+        )
+
+    m, v, eta_star, from_labeled = build(200, anchors, True, True)
+    assert m.shape == (200, 4) and v.shape == (200, 5)
+    assert eta_star.shape == from_labeled.shape == (200,)
+    assert from_labeled.any() and not from_labeled.all()
+    n_lab = int(from_labeled.sum())
     assert 60 < n_lab < 140  # fair coin
 
-    again = mixing.build_mixed_batch(
-        200, labeled_x, labeled_onehot, unlabeled_x, pred_u, anchors, 1.0,
-        np.random.default_rng(9), use_labeled=True, use_anchors=True,
-    )
-    for a, b in zip(batch, again):
-        assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
+    again = build(200, anchors, True, True)
+    assert np.array_equal(m, again[0]) and np.array_equal(v, again[1])
 
-    only_lab = mixing.build_mixed_batch(
-        50, labeled_x, labeled_onehot, unlabeled_x, pred_u, None, 1.0,
-        np.random.default_rng(9), use_labeled=True, use_anchors=False,
+    assert build(50, None, True, False)[3].all()
+    assert not build(50, anchors, False, True)[3].any()
+
+
+REFERENCE_CASES = {
+    "both sources": dict(size=64, use_labeled=True, use_anchors=True),
+    "labeled only": dict(size=64, use_labeled=True, use_anchors=False),
+    "anchors only": dict(size=64, use_labeled=False, use_anchors=True),
+    "soft anchor labels": dict(size=64, use_labeled=True, use_anchors=True, soft=True),
+    "epsilon 0.3, odd size": dict(size=17, epsilon=0.3, use_labeled=True, use_anchors=True),
+    "epsilon 2": dict(size=33, epsilon=2.0, use_labeled=True, use_anchors=True),
+    "one row": dict(size=1, use_labeled=True, use_anchors=True),
+    "repeated unlabeled rows": dict(size=64, n_unl=3, use_labeled=True, use_anchors=True),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_build_mixed_batch_matches_per_row_reference(case):
+    kw = dict(REFERENCE_CASES[case])
+    size, epsilon = kw.pop("size"), kw.pop("epsilon", 1.0)
+    soft, n_unl = kw.pop("soft", False), kw.pop("n_unl", 12)
+    labeled_x, labeled_onehot, unlabeled_x, pred_u = mixing_inputs(n_unl=n_unl)
+    pool_logits = np.random.default_rng(8).normal(size=(n_unl, 3)) * 4
+    anchors = mixing.select_anchors(pool_logits, 0.6, soft=soft)
+    assert len(anchors) > 0
+
+    class Recorder:
+        """pred_u for the reference: records every row it is asked for."""
+
+        def __init__(self):
+            self.rows = []
+
+        def __getitem__(self, j):
+            self.rows.append(int(j))
+            return pred_u[j]
+
+    ref_rng = np.random.default_rng(21)
+    recorder = Recorder()
+    want = mixing_reference.stack(mixing_reference.build_mixed_batch(
+        size, labeled_x, labeled_onehot, unlabeled_x, recorder, anchors, epsilon, ref_rng, **kw,
+    ))
+    ref_state = ref_rng.bit_generator.state
+
+    rng = np.random.default_rng(21)
+    calls = []
+
+    def predict_u(rows):
+        # every draw is done before predictions are asked for
+        calls.append((rows.copy(), rng.bit_generator.state))
+        return pred_u[rows]
+
+    got = mixing.build_mixed_batch(
+        size, labeled_x, labeled_onehot, unlabeled_x, predict_u, anchors, epsilon, rng, **kw,
     )
-    assert all(ex.source == "labeled-mix" for ex in only_lab)
-    only_anc = mixing.build_mixed_batch(
-        50, labeled_x, labeled_onehot, unlabeled_x, pred_u, anchors, 1.0,
-        np.random.default_rng(9), use_labeled=False, use_anchors=True,
-    )
-    assert all(ex.source == "anchor-mix" for ex in only_anc)
+    for name, g, w in zip(("m", "v", "eta_star", "from_labeled"), got, want):
+        assert np.array_equal(g, w), name
+    assert len(calls) == 1
+    rows, state_at_call = calls[0]
+    assert np.array_equal(rows, recorder.rows)
+    assert state_at_call == ref_state
+    assert rng.random() == ref_rng.random()
 
 
 def test_build_mixed_batch_rejections():
     x = np.zeros((2, 3))
     onehot = np.eye(2)
-    pred = np.full((2, 2), 0.5)
+    pred = table(np.full((2, 2), 0.5))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="empty anchor set"):
         mixing.build_mixed_batch(
@@ -148,6 +254,16 @@ def test_build_mixed_batch_rejections():
     with pytest.raises(ValueError):
         mixing.build_mixed_batch(
             0, x, onehot, x, pred, None, 1.0, rng, use_labeled=True, use_anchors=False,
+        )
+    with pytest.raises(ValueError, match="feature dimensions"):
+        mixing.build_mixed_batch(
+            4, x, onehot, np.zeros((2, 4)), pred, None, 1.0, rng,
+            use_labeled=True, use_anchors=False,
+        )
+    with pytest.raises(ValueError, match="one distribution per drawn row"):
+        mixing.build_mixed_batch(
+            4, x, onehot, x, lambda rows: np.full((2, 2), 0.5), None, 1.0, rng,
+            use_labeled=True, use_anchors=False,
         )
 
 
@@ -174,13 +290,11 @@ def test_opm_per_head_value_matches_scalar_route():
     rng = np.random.default_rng(5)
     z_l = rng.normal(size=(4, 2))
     z_u = rng.normal(size=(4, 3))
-    v = np.stack([
-        mixing.mix_with_labeled(
-            np.zeros(2), np.array([1.0, 0.0]), np.zeros(2),
-            nn.softmax(rng.normal(size=3)), 1.0, rng,
-        ).v
-        for _ in range(4)
-    ])
+    _, v, _, _ = mixing.build_mixed_batch(
+        4, np.zeros((1, 2)), np.array([[1.0, 0.0]]), np.zeros((1, 2)),
+        lambda rows: nn.softmax(rng.normal(size=(rows.size, 3))), None, 1.0, rng,
+        use_labeled=True, use_anchors=False,
+    )
     loss, _, _ = mixing.opm_loss(z_l, z_u, v, mode="per_head")
     pl, pu = nn.softmax(z_l), nn.softmax(z_u)
     want = 0.0

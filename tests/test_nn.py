@@ -81,7 +81,8 @@ def test_parameter_count_matches_arrays():
 def test_forward_linear_backbone_is_affine():
     m = nn.init_model(4, [], 3, 2, 2, seed=0)
     x = np.random.default_rng(3).normal(size=(5, 4))
-    feats, z_l, z_u = nn.forward(m, x)
+    acts, z_l, z_u = nn.forward(m, x)
+    feats = acts[-1]
     np.testing.assert_array_equal(feats, x @ m.backbone[0].w + m.backbone[0].b)
     np.testing.assert_array_equal(z_l, feats @ m.old_head.w + m.old_head.b)
     np.testing.assert_array_equal(z_u, feats @ m.new_head.w + m.new_head.b)
@@ -90,9 +91,11 @@ def test_forward_linear_backbone_is_affine():
 def test_forward_relu_between_backbone_layers_only():
     m = tiny_model(seed=4, hidden=(4,))
     x = np.random.default_rng(4).normal(size=(7, 6)) * 2
-    feats, _, _ = nn.forward(m, x)
+    acts, _, _ = nn.forward(m, x)
+    feats = acts[-1]
     h = np.maximum(x @ m.backbone[0].w + m.backbone[0].b, 0.0)
     manual = h @ m.backbone[1].w + m.backbone[1].b
+    np.testing.assert_array_equal(acts[0], h)
     np.testing.assert_array_equal(feats, manual)
     # the feature itself may go negative: no ReLU after the last affine
     assert feats.min() < 0
@@ -113,7 +116,7 @@ def test_backward_matches_finite_difference_over_params():
         x = rng.normal(size=(4, 6))
         gl = rng.normal(size=(4, 2))
         gu = rng.normal(size=(4, 3))
-        grads = nn.backward(m, x, gl, gu)
+        grads = nn.backward(m, x, nn.forward(m, x)[0], gl, gu)
 
         def loss_at(flat):
             pos = 0
@@ -131,8 +134,11 @@ def test_backward_matches_finite_difference_over_params():
 def test_backward_rejects_mismatched_upstream():
     m = tiny_model()
     x = np.zeros((2, 6))
+    acts = nn.forward(m, x)[0]
     with pytest.raises(ValueError):
-        nn.backward(m, x, np.zeros((2, 3)), np.zeros((2, 3)))
+        nn.backward(m, x, acts, np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="activations"):
+        nn.backward(m, x, nn.forward(m, np.zeros((3, 6)))[0], np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def test_iter_params_order():

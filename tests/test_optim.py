@@ -63,8 +63,8 @@ def test_updates_are_in_place_and_seeded_runs_agree():
     gl = rng.normal(size=(5, 2))
     gu = rng.normal(size=(5, 3))
     for _ in range(3):
-        o1.step(m1, nn.backward(m1, x, gl, gu))
-        o2.step(m2, nn.backward(m2, x, gl, gu))
+        o1.step(m1, nn.backward(m1, x, nn.forward(m1, x)[0], gl, gu))
+        o2.step(m2, nn.backward(m2, x, nn.forward(m2, x)[0], gl, gu))
     assert np.array_equal(model_params_flat(m1), model_params_flat(m2))
 
 

@@ -58,6 +58,20 @@ def test_check_finite_message():
         train._check_finite(float("inf"), "a", 1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_runaway_logits_raise_divergence_error():
+    # a finite but huge step overflows the logits within the first epoch
+    ds = data.generate_blobs(tiny_spec(seed=1))
+    cfg = tiny_config(seed=1, lr=1e200)
+    model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
+    with pytest.raises(train.DivergenceError, match="labeled-batch logits .* epoch 1"):
+        train.pretrain(model, ds.labeled, cfg)
+    ds, _, model = _pretrained(seed=1)
+    cfg = tiny_config(seed=1, lr=1e200, freeze_epochs=0)
+    with pytest.raises(train.DivergenceError, match="unlabeled-batch logits .* epoch 1"):
+        train.cluster_train(model, ds, cfg)
+
+
 def test_pretrain_separable_blobs_high_accuracy():
     # two linearly separable classes: near-perfect training accuracy once the
     # small fixed learning rate has had enough epochs to move the head
