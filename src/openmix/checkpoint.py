@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 
+from .fileio import write_atomic
 from .nn import Affine, TwoHeadMLP, iter_params, parameter_count
 
 MAGIC = b"OMX1"
@@ -34,8 +35,7 @@ def save_checkpoint(path: str, model: TwoHeadMLP) -> None:
     blob += struct.pack(f"<{len(header)}I", *header)
     for _, p in iter_params(model):
         blob += np.ascontiguousarray(p, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, bytes(blob))
 
 
 def load_checkpoint(path: str) -> TwoHeadMLP:
@@ -59,6 +59,8 @@ def load_checkpoint(path: str) -> TwoHeadMLP:
     feature_dim, off = read_u32(off)
     c_l, off = read_u32(off)
     c_u, off = read_u32(off)
+    if min(input_dim, feature_dim, c_l, c_u, *hidden_dims) < 1:
+        raise CheckpointError(f"{path}: layer dims must be >= 1")
 
     expected = parameter_count(input_dim, hidden_dims, feature_dim, c_l, c_u)
     payload = blob[off:]
@@ -67,6 +69,8 @@ def load_checkpoint(path: str) -> TwoHeadMLP:
             f"{path}: expected {expected} parameters, found {len(payload) // 8}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise CheckpointError(f"{path}: non-finite parameter")
 
     pos = 0
 

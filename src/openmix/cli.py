@@ -100,6 +100,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     n = args.samples
+    if n < 1 or args.seed < 0:
+        raise ConfigError("analyze needs --samples >= 1 and --seed >= 0")
     case = theory.worked_counterexample()
     error, difference = theory.mixup_error(case)
     print("mixing-reliability report")

@@ -7,6 +7,8 @@ import math
 import typing
 from dataclasses import dataclass, field
 
+from .fileio import read_text
+
 
 class ConfigError(Exception):
     """Raised for unknown keys, bad values, or failed validation."""
@@ -141,6 +143,8 @@ class RunConfig:
             raise ConfigError("epoch counts must be >= 0")
         if self.labeled_mix_epoch < 1 or self.anchor_mix_epoch < 1:
             raise ConfigError("injection epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.opm_softmax not in ("joint", "per_head"):
             raise ConfigError("opm_softmax must be 'joint' or 'per_head'")
         if self.anchor_labels not in ("onehot", "soft"):
@@ -152,12 +156,7 @@ class RunConfig:
 
 def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     """Read a RunConfig file, apply overrides, and validate."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_flat(text, RunConfig)
+    cfg = parse_flat(read_text(path, "config", ConfigError), RunConfig)
     if overrides:
         apply_overrides(cfg, overrides)
     return cfg.validate()

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError, check_finite_floats, parse_flat
+from .fileio import read_text, write_atomic
 
 
 class DataFormatError(Exception):
@@ -159,16 +160,13 @@ class SplitSpec:
             raise ConfigError("input_dim must be >= c_l + c_u for the center layout")
         if self.separation < 0 or self.sigma < 0:
             raise ConfigError("separation and sigma must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         return self
 
 
 def load_split_spec(path: str) -> SplitSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read split spec {path}: {exc}") from exc
-    return parse_flat(text, SplitSpec).validate()
+    return parse_flat(read_text(path, "split spec", ConfigError), SplitSpec).validate()
 
 
 def generate_blobs(spec: SplitSpec) -> Dataset:
@@ -211,8 +209,7 @@ def save_dataset(path: str, ds: Dataset) -> None:
     for i in range(len(ds.unlabeled)):
         feats = ",".join(_fmt(v) for v in ds.unlabeled.x[i])
         lines.append(f"U,{hidden[i]},{feats}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -223,11 +220,7 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 def load_dataset(path: str) -> Dataset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
+    lines = read_text(path, "dataset", DataFormatError).splitlines()
     if not lines:
         raise DataFormatError("line 1: missing header")
     head = lines[0].split(",")
@@ -268,6 +261,10 @@ def load_dataset(path: str) -> Dataset:
             uy.append(label)
         else:
             raise DataFormatError(f"line {lineno}: row kind must be L or U, got {kind!r}")
+    if not lx or len(ux) < 2:
+        raise DataFormatError(
+            f"need at least 1 L row and 2 U rows, found {len(lx)} and {len(ux)}"
+        )
 
     labeled = LabeledSet(
         np.asarray(lx, dtype=np.float64).reshape(len(lx), input_dim),

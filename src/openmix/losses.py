@@ -2,8 +2,9 @@
 
 Two parts: a pairwise BCE on cosine similarities between softmax outputs
 (with self-estimated binary pair labels) and a cross-entropy on confidently
-pseudo-labeled examples. Each loss returns its value together with the
-gradient w.r.t. the new-head logits so the trainer can backpropagate.
+pseudo-labeled examples. clustering_losses computes both from one softmax
+of the batch and returns each value together with its gradient w.r.t. the
+new-head logits so the trainer can backpropagate.
 """
 
 from __future__ import annotations
@@ -16,34 +17,23 @@ from .nn import log_softmax, softmax, softmax_backward
 CLAMP = 1e-7
 
 
-def similarity_matrix(z_u: np.ndarray) -> np.ndarray:
-    """Cosine similarities between softmax outputs of a batch of logits.
+def similarity_matrix(p: np.ndarray) -> np.ndarray:
+    """Cosine similarities between the rows of a batch of probability vectors.
 
     Returns the raw matrix (diagonal exactly 1, entries in [0, 1]); clamping
     happens inside the loss, not here.
     """
-    z = np.asarray(z_u, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ValueError("similarity_matrix needs a batch of at least 2 logit rows")
-    p = softmax(z)
     nu = np.linalg.norm(p, axis=1)
     s = (p @ p.T) / np.outer(nu, nu)
     np.fill_diagonal(s, 1.0)
     return s
 
 
-def pair_labels(s: np.ndarray, theta1: float) -> np.ndarray:
-    """Binary pair labels: 1 where similarity >= theta1 (ties count as 1)."""
-    if not 0.0 < theta1 < 1.0:
-        raise ValueError("theta1 must be in (0, 1)")
-    return (np.asarray(s) >= theta1).astype(np.float64)
-
-
 def ppl_loss_value(s: np.ndarray, w: np.ndarray) -> float:
     """BCE over all ordered pairs (diagonal included), normalized by n^2.
 
     Evaluates the loss alone from a similarity matrix; used by tests and by
-    ppl_loss below so the two can never drift apart.
+    clustering_losses below so the two can never drift apart.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != w.shape:
@@ -54,39 +44,8 @@ def ppl_loss_value(s: np.ndarray, w: np.ndarray) -> float:
     return float(-terms.sum() / (n * n))
 
 
-def ppl_loss(z_u: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Pairwise BCE loss and its gradient w.r.t. the new-head logits.
-
-    `w` is treated as a constant: no gradient flows through the thresholding
-    that produced it. Gradients are masked where the similarity was clamped.
-    """
-    z = np.asarray(z_u, dtype=np.float64)
-    p = softmax(z)
-    nu = np.linalg.norm(p, axis=1)
-    s = (p @ p.T) / np.outer(nu, nu)
-    np.fill_diagonal(s, 1.0)
-    n = s.shape[0]
-    if w.shape != s.shape:
-        raise ValueError("pair-label shape does not match batch")
-
-    loss = ppl_loss_value(s, w)
-
-    sc = np.clip(s, CLAMP, 1.0 - CLAMP)
-    g = -(w / sc - (1.0 - w) / (1.0 - sc)) / (n * n)
-    g = np.where((s > CLAMP) & (s < 1.0 - CLAMP), g, 0.0)
-
-    # dS_ij/dp_i = p_j/(nu_i nu_j) - S_ij p_i/nu_i^2; accumulate both index
-    # roles of each pair without assuming exact numeric symmetry of g
-    h = g + g.T
-    term1 = (h / np.outer(nu, nu)) @ p
-    a = g * s
-    term2 = ((a + a.T).sum(axis=1) / (nu * nu))[:, None] * p
-    grad_p = term1 - term2
-    return loss, softmax_backward(p, grad_p)
-
-
-def pseudo_labels(z_u: np.ndarray, theta2: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-hot pseudo-labels where the softmax clears theta2.
+def pseudo_labels(p: np.ndarray, theta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot pseudo-labels where a probability row clears theta2.
 
     Returns (labels, assigned): labels is (n, C) with zero rows for
     unassigned examples; assigned is a boolean mask. theta2 > 0.5 guarantees
@@ -94,30 +53,53 @@ def pseudo_labels(z_u: np.ndarray, theta2: float) -> tuple[np.ndarray, np.ndarra
     """
     if not 0.5 < theta2 < 1.0:
         raise ValueError("theta2 must be in (0.5, 1)")
-    p = softmax(np.asarray(z_u, dtype=np.float64))
     labels = (p >= theta2).astype(np.float64)
     return labels, labels.any(axis=1)
 
 
-def pll_loss(
-    z_u: np.ndarray, labels: np.ndarray, assigned: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy against pseudo-labels, averaged over assigned examples.
+def clustering_losses(
+    z_u: np.ndarray, theta1: float, theta2: float
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """PPL and PLL of one unlabeled batch: (ppl, g_ppl, pll, g_pll).
 
-    Empty assigned set gives loss 0 with zero gradient. Labels are constants
-    (no gradient through the thresholding that produced them).
+    PPL is the pairwise BCE of the cosine similarities against pair labels
+    s >= theta1 (ties count as 1); PLL is the cross-entropy against the
+    theta2 pseudo-labels, averaged over assigned rows (0 with zero gradient
+    when none is assigned). Both targets are constants: no gradient flows
+    through the thresholding. PPL gradients are masked where the similarity
+    was clamped, so a 1-row batch has zero PPL gradient.
     """
+    if not 0.0 < theta1 < 1.0:
+        raise ValueError("theta1 must be in (0, 1)")
     z = np.asarray(z_u, dtype=np.float64)
-    assigned = np.asarray(assigned, dtype=bool)
-    n_hat = int(assigned.sum())
-    if n_hat == 0:
-        return 0.0, np.zeros_like(z)
-    logp = log_softmax(z)
-    loss = float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
-    grad = np.zeros_like(z)
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise ValueError("clustering losses need a batch of at least 1 logit row")
     p = softmax(z)
-    grad[assigned] = (p[assigned] - labels[assigned]) / n_hat
-    return loss, grad
+    s = similarity_matrix(p)
+    w = (s >= theta1).astype(np.float64)
+    n = s.shape[0]
+    ppl = ppl_loss_value(s, w)
+
+    sc = np.clip(s, CLAMP, 1.0 - CLAMP)
+    g = -(w / sc - (1.0 - w) / (1.0 - sc)) / (n * n)
+    g = np.where((s > CLAMP) & (s < 1.0 - CLAMP), g, 0.0)
+    # dS_ij/dp_i = p_j/(nu_i nu_j) - S_ij p_i/nu_i^2; accumulate both index
+    # roles of each pair without assuming exact numeric symmetry of g
+    nu = np.linalg.norm(p, axis=1)
+    h = g + g.T
+    term1 = (h / np.outer(nu, nu)) @ p
+    a = g * s
+    term2 = ((a + a.T).sum(axis=1) / (nu * nu))[:, None] * p
+    g_ppl = softmax_backward(p, term1 - term2)
+
+    labels, assigned = pseudo_labels(p, theta2)
+    n_hat = int(assigned.sum())
+    pll, g_pll = 0.0, np.zeros_like(z)
+    if n_hat:
+        logp = log_softmax(z)
+        pll = float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
+        g_pll[assigned] = (p[assigned] - labels[assigned]) / n_hat
+    return ppl, g_ppl, pll, g_pll
 
 
 def cross_entropy(z: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:

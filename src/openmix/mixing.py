@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import pseudo_labels
 from .nn import softmax, softmax_backward
 
 # below this distance the L2 loss gradient is left at zero (kink at 0)
@@ -61,16 +62,13 @@ class AnchorSet:
 def select_anchors(z_u_pool: np.ndarray, theta2: float, soft: bool = False) -> AnchorSet:
     """Pick every example whose max softmax is >= theta2.
 
-    Labels are the thresholded one-hot pseudo-labels; with soft=True the raw
-    softmax rows are kept instead.
+    Labels are the pseudo-labels of losses.pseudo_labels; with soft=True the
+    raw softmax rows are kept instead.
     """
-    if not 0.5 < theta2 < 1.0:
-        raise ValueError("theta2 must be in (0.5, 1)")
     p = softmax(np.asarray(z_u_pool, dtype=np.float64))
-    mask = p.max(axis=1) >= theta2
-    idx = np.flatnonzero(mask)
-    labels = p[idx] if soft else (p[idx] >= theta2).astype(np.float64)
-    return AnchorSet(idx.astype(np.int64), labels)
+    labels, assigned = pseudo_labels(p, theta2)
+    idx = np.flatnonzero(assigned)
+    return AnchorSet(idx.astype(np.int64), p[idx] if soft else labels[idx])
 
 
 def build_mixed_batch(

@@ -17,6 +17,7 @@ import numpy as np
 from . import losses, metrics, mixing, nn
 from .config import RunConfig
 from .data import Dataset, HiddenTruth, LabeledSet, UnlabeledSet, batch_iter
+from .fileio import write_atomic
 from .optim import RmspropState
 
 
@@ -191,12 +192,8 @@ def cluster_train(
         for idx in batch_iter(unlabeled, cfg.batch_unlabeled, batch_seed, epoch):
             x = unlabeled.x[idx]
             acts, _, z_u = _forward(model, x, "unlabeled-batch", epoch)
-            s = losses.similarity_matrix(z_u)
-            w = losses.pair_labels(s, cfg.theta1)
-            ppl, g_ppl = losses.ppl_loss(z_u, w)
+            ppl, g_ppl, pll, g_pll = losses.clustering_losses(z_u, cfg.theta1, cfg.theta2)
             _check_finite(ppl, "pairwise similarity loss", epoch)
-            labels, assigned = losses.pseudo_labels(z_u, cfg.theta2)
-            pll, g_pll = losses.pll_loss(z_u, labels, assigned)
             _check_finite(pll, "pseudo-label loss", epoch)
             g_zu = g_ppl + cfg.lambda1 * g_pll
             grads = nn.backward(
@@ -275,5 +272,4 @@ def write_metrics_csv(path: str, reports: list[EpochReport]) -> None:
                 ]
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -36,6 +36,15 @@ def assert_grad_close(analytic, numeric, rtol=GRAD_RTOL, atol=GRAD_ATOL):
     )
 
 
+def pll_reference(z, labels, assigned):
+    """PLL value with the pseudo-labels held fixed, for finite differences."""
+    n_hat = int(assigned.sum())
+    if n_hat == 0:
+        return 0.0
+    logp = nn.log_softmax(z)
+    return float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
+
+
 def tiny_spec(seed=0):
     return data.SplitSpec(
         c_l=2, c_u=3, per_class=8, input_dim=6, separation=6.0, sigma=1.0, seed=seed

@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import fd_grad
-from openmix import losses, metrics, mixing, theory, train
+from helpers import fd_grad, pll_reference
+from openmix import losses, metrics, mixing, nn, theory, train
 from openmix.checkpoint import save_checkpoint
 from openmix.config import RunConfig
 from openmix.data import SplitSpec, generate_blobs
@@ -99,21 +99,23 @@ def test_03_every_loss_gradient_matches_finite_differences():
         n = int(rng.integers(3, 7))
         c = int(rng.integers(3, 6))
         z = rng.normal(size=(n, c)) * 1.5
-        w = losses.pair_labels(losses.similarity_matrix(z), 0.95)
-        g = losses.ppl_loss(z, w)[1]
-        fd = fd_grad(lambda zz: losses.ppl_loss_value(losses.similarity_matrix(zz), w), z)
+        w = (losses.similarity_matrix(nn.softmax(z)) >= 0.95).astype(float)
+        g = losses.clustering_losses(z, 0.95, 0.9)[1]
+        fd = fd_grad(
+            lambda zz: losses.ppl_loss_value(losses.similarity_matrix(nn.softmax(zz)), w), z
+        )
         worst["ppl"] = max(worst["ppl"], _rel_err(g, fd))
 
     for _ in range(20):
         n = int(rng.integers(3, 7))
         c = int(rng.integers(3, 6))
         z = rng.normal(size=(n, c)) * 4.0
-        labels, assigned = losses.pseudo_labels(z, 0.9)
+        labels, assigned = losses.pseudo_labels(nn.softmax(z), 0.9)
         while not assigned.any():
             z = z * 1.5
-            labels, assigned = losses.pseudo_labels(z, 0.9)
-        g = losses.pll_loss(z, labels, assigned)[1]
-        fd = fd_grad(lambda zz: losses.pll_loss(zz, labels, assigned)[0], z)
+            labels, assigned = losses.pseudo_labels(nn.softmax(z), 0.9)
+        g = losses.clustering_losses(z, 0.95, 0.9)[3]
+        fd = fd_grad(lambda zz: pll_reference(zz, labels, assigned), z)
         worst["pll"] = max(worst["pll"], _rel_err(g, fd))
 
     for trial in range(20):

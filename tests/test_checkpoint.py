@@ -1,5 +1,7 @@
 """Binary checkpoint round-trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,22 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError, match="expected"):
         load_checkpoint(str(path))
+
+
+def test_zero_dim_and_non_finite_rejected(tmp_path):
+    path = tmp_path / "m.omx"
+    # feature_dim 0 with a payload of the matching (smaller) size
+    count = nn.parameter_count(3, [], 0, 1, 2)
+    path.write_bytes(b"OMX1" + struct.pack("<5I", 3, 0, 0, 1, 2) + bytes(8 * count))
+    with pytest.raises(CheckpointError, match="dims"):
+        load_checkpoint(str(path))
+    save_checkpoint(str(path), tiny_model())
+    blob = bytearray(path.read_bytes())
+    for bad in (float("nan"), float("inf")):
+        blob[-8:] = struct.pack("<d", bad)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(str(path))
 
 
 def test_missing_file():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,78 @@ def test_eval_new_class_count_mismatch_exits_4(pipeline, tmp_path, capsys):
     )
     assert rc == 4
     assert "C_u" in capsys.readouterr().err
+
+
+def test_non_utf8_dataset_exits_4(tmp_path, capsys):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "dataset.csv").write_bytes(b"omx-dataset,v1,6,2,3\nL,0,\xff\xfe\n")
+    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "UTF-8" in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 0\n# caf\xe9\n")
+    rc = cli.main(["pretrain", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "UTF-8" in err
+
+
+def test_non_utf8_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "blobs.spec"
+    spec.write_bytes(SPEC_TEXT.encode("utf-8") + b"# \x80\n")
+    rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "UTF-8" in err
+
+
+def _keep_rows(pipeline, tmp_path, kinds):
+    """A copy of the pipeline dataset holding only rows of the given kinds."""
+    lines = (pipeline.root / "data" / "dataset.csv").read_text(encoding="utf-8").splitlines()
+    kept = [lines[0]] + [line for line in lines[1:] if line[0] in kinds]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "dataset.csv").write_text("\n".join(kept) + "\n", encoding="utf-8")
+    return tmp_path / "data"
+
+
+def test_no_labeled_rows_exits_4(pipeline, tmp_path, capsys):
+    _keep_rows(pipeline, tmp_path, "U")
+    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "found 0 and 24" in err
+
+
+def test_header_only_dataset_exits_4(pipeline, tmp_path, capsys):
+    data_dir = _keep_rows(pipeline, tmp_path, "")
+    model = str(pipeline.root / "out" / "model.omx")
+    rc = cli.main(["eval", "--checkpoint", model, "--data", str(data_dir)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "found 0 and 0" in err
+
+
+def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
+    blob = bytearray((pipeline.root / "out" / "model.omx").read_bytes())
+    blob[-8:] = struct.pack("<d", float("nan"))  # the last new-head bias
+    bad = tmp_path / "nan.omx"
+    bad.write_bytes(bytes(blob))
+    rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(pipeline.root / "data")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "non-finite parameter" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--seed", "-1")])
+def test_analyze_bad_arguments_exit_2(flag, value, capsys):
+    rc = cli.main(["analyze", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--samples >= 1" in err
 
 
 def test_analyze_report_contents():

@@ -118,6 +118,8 @@ def test_validate_rejects(field, value):
         (RunConfig, "rmsprop_eps", 0.0),
         (SplitSpec, "separation", float("nan")),
         (SplitSpec, "sigma", float("inf")),
+        (RunConfig, "seed", -1),
+        (SplitSpec, "seed", -1),
     ],
 )
 def test_validate_rejects_non_finite_and_out_of_range(cls, field, value):

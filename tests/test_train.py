@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from openmix import data, nn, train
+from openmix import data, losses, nn, train
 from helpers import model_params_flat, tiny_config, tiny_spec
 
 
@@ -277,6 +277,31 @@ def test_cluster_train_needs_two_unlabeled():
     )
     with pytest.raises(ValueError):
         train.cluster_train(model, small, cfg)
+
+
+@pytest.mark.parametrize("batch_unlabeled", [23, 1])
+def test_cluster_train_one_row_last_batch(batch_unlabeled, monkeypatch):
+    # 24 unlabeled rows: batches of 23 leave a 1-row last batch, batches of 1
+    # are all 1-row
+    ds, cfg, model = _pretrained(
+        seed=12, cluster_epochs=2, labeled_mix_epoch=1, batch_unlabeled=batch_unlabeled
+    )
+    assert len(ds.unlabeled) % batch_unlabeled == 1 % batch_unlabeled
+    rows = []
+    fused = losses.clustering_losses
+
+    def recording(z_u, theta1, theta2):
+        rows.append(z_u.shape[0])
+        return fused(z_u, theta1, theta2)
+
+    monkeypatch.setattr(losses, "clustering_losses", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        reports = train.cluster_train(model, ds, cfg)
+    assert 1 in rows
+    assert [r.epoch for r in reports] == [1, 2]
+    for r in reports:
+        assert np.isfinite(r.loss_ppl) and np.isfinite(r.loss_pll) and np.isfinite(r.loss_opm)
 
 
 def test_write_metrics_csv_roundtrip(tmp_path):
