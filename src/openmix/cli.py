@@ -25,6 +25,9 @@ DATASET_FILE = "dataset.csv"
 PRETRAIN_FILE = "pretrained.omx"
 MODEL_FILE = "model.omx"
 METRICS_FILE = "metrics.csv"
+# Largest `analyze --samples`: the Monte Carlo draws take about
+# 8 * n * (2 * c_u + 3) bytes, about 1 GB at this cap with c_u = 5.
+MAX_SAMPLES = 10**7
 
 
 def _load_data(data_dir: str) -> Dataset:
@@ -100,8 +103,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     n = args.samples
-    if n < 1 or args.seed < 0:
-        raise ConfigError("analyze needs --samples >= 1 and --seed >= 0")
+    if not 1 <= n <= MAX_SAMPLES or args.seed < 0:
+        raise ConfigError(
+            f"analyze needs --samples >= 1 and <= {MAX_SAMPLES}, and --seed >= 0"
+        )
     case = theory.worked_counterexample()
     error, difference = theory.mixup_error(case)
     print("mixing-reliability report")

@@ -194,21 +194,18 @@ def generate_blobs(spec: SplitSpec) -> Dataset:
     return Dataset(labeled, unlabeled, truth)
 
 
-def _fmt(value: float) -> str:
-    # repr of a python float is the shortest string that round-trips exactly
-    return repr(float(value))
-
-
 def save_dataset(path: str, ds: Dataset) -> None:
-    """Write header `omx-dataset,v1,input_dim,C_l,C_u` then one row per example."""
+    """Write header `omx-dataset,v1,input_dim,C_l,C_u` then one row per example.
+
+    Features are written as the repr of a Python float, the shortest string
+    that round-trips exactly.
+    """
     lines = [f"omx-dataset,v1,{ds.input_dim},{ds.c_l},{ds.c_u}"]
-    for i in range(len(ds.labeled)):
-        feats = ",".join(_fmt(v) for v in ds.labeled.x[i])
-        lines.append(f"L,{ds.labeled.y[i]},{feats}")
     hidden = ds.truth._labels  # same-module persistence path, not an eval read
-    for i in range(len(ds.unlabeled)):
-        feats = ",".join(_fmt(v) for v in ds.unlabeled.x[i])
-        lines.append(f"U,{hidden[i]},{feats}")
+    for kind, ys, x in (("L", ds.labeled.y, ds.labeled.x), ("U", hidden, ds.unlabeled.x)):
+        lines.extend(
+            f"{kind},{y},{','.join(map(repr, row))}" for y, row in zip(ys.tolist(), x.tolist())
+        )
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -217,6 +214,75 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         return int(token)
     except ValueError:
         raise DataFormatError(f"line {lineno}: bad {what} {token!r}") from None
+
+
+def _parse_rows(parse, tokens: list[str], dtype, per_row: int) -> tuple[np.ndarray, int | None]:
+    """Parse `per_row` tokens per row with `parse` into one flat array.
+
+    Returns (values, None) when every token parses. Otherwise returns the
+    values of the rows before the first token `parse` rejects, and that
+    token's row.
+    """
+    try:
+        return np.fromiter(map(parse, tokens), dtype, len(tokens)), None
+    except ValueError:
+        pass
+    values = []
+    for token in tokens:
+        try:
+            values.append(parse(token))
+        except ValueError:
+            break
+    row = len(values) // per_row
+    return np.array(values[: row * per_row], dtype), row
+
+
+# Lines parsed per chunk: a chunk's split tokens take a few MB, so a large
+# file never holds the tokens of all its lines at once.
+CHUNK_LINES = 8192
+
+
+def _parse_chunk(rows: list[list[str]], linenos: list[int], input_dim: int, c_l: int, c_u: int):
+    """Parse split data lines into (x, labels, is_l, is_u) or raise at the first fault.
+
+    A chunk reports its first faulty line, and a line its first failed
+    check, in the order: field count, class index, feature values,
+    finiteness, then kind and class range. Each check runs on the rows
+    before the first fault found so far and cuts them at its own first
+    fault, so the fault held at the end is the chunk's first.
+    """
+    n, fault = len(rows), None
+    fits = np.fromiter(map(len, rows), np.int64, n) == 2 + input_dim
+    if not fits.all():
+        n = int(np.argmin(fits))
+        fault = f"expected {2 + input_dim} fields, got {len(rows[n])}"
+    # class indices stay Python ints, so a huge one is out of range, not an overflow
+    labels, bad = _parse_rows(int, [r[1] for r in rows[:n]], object, 1)
+    if bad is not None:
+        n, fault = bad, f"bad class index {rows[bad][1]!r}"
+    x, bad = _parse_rows(float, [t for r in rows[:n] for t in r[2:]], np.float64, input_dim)
+    if bad is not None:
+        n, fault = bad, "bad feature value"
+    x = x.reshape(n, input_dim)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        n, fault = int(np.argmin(finite)), "non-finite feature value"
+    kinds = np.array([r[0] for r in rows[:n]], dtype=object)
+    labels = labels[:n]
+    is_l, is_u = kinds == "L", kinds == "U"
+    ok = (labels >= 0) & (is_l & (labels < c_l) | is_u & (labels < c_u))
+    if not ok.all():
+        n = int(np.argmin(ok))
+        kind, label = kinds[n], labels[n]
+        if kind == "L":
+            fault = f"labeled class {label} out of range"
+        elif kind == "U":
+            fault = f"hidden class {label} out of range"
+        else:
+            fault = f"row kind must be L or U, got {kind!r}"
+    if fault is not None:
+        raise DataFormatError(f"line {linenos[n]}: {fault}")
+    return x, labels, is_l, is_u
 
 
 def load_dataset(path: str) -> Dataset:
@@ -232,49 +298,21 @@ def load_dataset(path: str) -> Dataset:
     if input_dim < 1 or c_l < 1 or c_u < 1:
         raise DataFormatError("line 1: header counts must be >= 1")
 
-    lx, ly, ux, uy = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2 + input_dim:
-            raise DataFormatError(
-                f"line {lineno}: expected {2 + input_dim} fields, got {len(parts)}"
-            )
-        kind = parts[0]
-        label = _parse_int(parts[1], lineno, "class index")
-        try:
-            feats = [float(tok) for tok in parts[2:]]
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: bad feature value") from None
-        if not all(np.isfinite(feats)):
-            raise DataFormatError(f"line {lineno}: non-finite feature value")
-        if kind == "L":
-            if not 0 <= label < c_l:
-                raise DataFormatError(f"line {lineno}: labeled class {label} out of range")
-            lx.append(feats)
-            ly.append(label)
-        elif kind == "U":
-            if not 0 <= label < c_u:
-                raise DataFormatError(f"line {lineno}: hidden class {label} out of range")
-            ux.append(feats)
-            uy.append(label)
-        else:
-            raise DataFormatError(f"line {lineno}: row kind must be L or U, got {kind!r}")
-    if not lx or len(ux) < 2:
-        raise DataFormatError(
-            f"need at least 1 L row and 2 U rows, found {len(lx)} and {len(ux)}"
-        )
+    # chunks run in file order, so the first chunk to raise holds the file's first fault
+    linenos = [no for no, line in enumerate(lines[1:], start=2) if line]
+    chunks = []
+    for start in range(0, max(len(linenos), 1), CHUNK_LINES):
+        nos = linenos[start : start + CHUNK_LINES]
+        rows = [lines[no - 1].split(",") for no in nos]
+        chunks.append(_parse_chunk(rows, nos, input_dim, c_l, c_u))
+    x, labels, is_l, is_u = (np.concatenate(parts) for parts in zip(*chunks))
 
-    labeled = LabeledSet(
-        np.asarray(lx, dtype=np.float64).reshape(len(lx), input_dim),
-        np.asarray(ly, dtype=np.int64),
-        c_l,
-    )
-    unlabeled = UnlabeledSet(
-        np.asarray(ux, dtype=np.float64).reshape(len(ux), input_dim), c_u
-    )
-    return Dataset(labeled, unlabeled, HiddenTruth(np.asarray(uy, dtype=np.int64)))
+    n_l, n_u = int(is_l.sum()), int(is_u.sum())
+    if not n_l or n_u < 2:
+        raise DataFormatError(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")
+    labeled = LabeledSet(x[is_l], labels[is_l], c_l)
+    unlabeled = UnlabeledSet(x[is_u], c_u)
+    return Dataset(labeled, unlabeled, HiddenTruth(labels[is_u]))
 
 
 def batch_iter(data, batch_size: int, seed: int, epoch: int):

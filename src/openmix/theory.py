@@ -181,6 +181,12 @@ def mixup_can_worsen(rng: np.random.Generator | None = None, attempts: int = 100
     return worked_counterexample()
 
 
+# Rows per block of the Monte Carlo sweeps: each block's (rows, c_l + c_u)
+# temporaries stay within a few MB, so a large sweep never materialises
+# them at full length.
+BLOCK_ROWS = 16384
+
+
 def monte_carlo_inequality(
     n_cases: int, seed: int, c_l: int = 5, c_u: int = 5
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -188,47 +194,57 @@ def monte_carlo_inequality(
 
     Returns (direct, closed): per-case gaps from the literal route (label
     errors of extended mixed vectors) and the closed form. Callers compare
-    them and check nonnegativity case by case.
+    them and check nonnegativity case by case. The draws are made at full
+    length, in a fixed order; the routes then run BLOCK_ROWS rows at a time.
     """
     rng = np.random.default_rng(seed)
-    y_b = np.zeros((n_cases, c_u))
-    y_b[np.arange(n_cases), rng.integers(0, c_u, size=n_cases)] = 1.0
+    idx_b = rng.integers(0, c_u, size=n_cases)
     e = rng.exponential(1.0, size=(n_cases, c_u))
-    y_hat_b = e / e.sum(axis=1, keepdims=True)
     eta = rng.uniform(size=n_cases)
-    y_c = np.zeros((n_cases, c_l))
-    y_c[np.arange(n_cases), rng.integers(0, c_l, size=n_cases)] = 1.0
+    idx_c = rng.integers(0, c_l, size=n_cases)
 
-    # literal route: extend to the joint space, mix, take L1 distances
-    zeros_old = np.zeros((n_cases, c_l))
-    zeros_new = np.zeros((n_cases, c_u))
-    truth_b = np.concatenate([zeros_old, y_b], axis=1)
-    pseudo_b = np.concatenate([zeros_old, y_hat_b], axis=1)
-    clean_c = np.concatenate([y_c, zeros_new], axis=1)
-    mixed_truth = eta[:, None] * clean_c + (1.0 - eta[:, None]) * truth_b
-    mixed_pseudo = eta[:, None] * clean_c + (1.0 - eta[:, None]) * pseudo_b
-    err_b = np.abs(y_b - y_hat_b).sum(axis=1)
-    err_mix = np.abs(mixed_truth - mixed_pseudo).sum(axis=1)
-    direct = err_b - err_mix
+    direct = np.empty(n_cases)
+    closed = np.empty(n_cases)
+    for start in range(0, n_cases, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        y_b = np.eye(c_u)[idx_b[rows]]
+        y_hat_b = e[rows] / e[rows].sum(axis=1, keepdims=True)
+        y_c = np.eye(c_l)[idx_c[rows]]
+        w = eta[rows, None]
 
-    closed = eta * np.abs(y_b - y_hat_b).sum(axis=1)
+        # literal route: extend to the joint space, mix, take L1 distances
+        zeros_old = np.zeros_like(y_c)
+        truth_b = np.concatenate([zeros_old, y_b], axis=1)
+        pseudo_b = np.concatenate([zeros_old, y_hat_b], axis=1)
+        clean_c = np.concatenate([y_c, np.zeros_like(y_b)], axis=1)
+        mixed_truth = w * clean_c + (1.0 - w) * truth_b
+        mixed_pseudo = w * clean_c + (1.0 - w) * pseudo_b
+        err_b = np.abs(y_b - y_hat_b).sum(axis=1)
+        direct[rows] = err_b - np.abs(mixed_truth - mixed_pseudo).sum(axis=1)
+        closed[rows] = eta[rows] * err_b
     return direct, closed
 
 
 def monte_carlo_mixup(n_cases: int, seed: int, c_u: int = 5) -> np.ndarray:
-    """Vectorized plain-mix differences over random cases (negatives are witnesses)."""
+    """Vectorized plain-mix differences over random cases (negatives are witnesses).
+
+    Drawn at full length in a fixed order, computed BLOCK_ROWS rows at a time.
+    """
     rng = np.random.default_rng(seed)
-    y_a = np.zeros((n_cases, c_u))
-    y_a[np.arange(n_cases), rng.integers(0, c_u, size=n_cases)] = 1.0
+    idx_a = rng.integers(0, c_u, size=n_cases)
     e_a = rng.exponential(1.0, size=(n_cases, c_u))
-    y_hat_a = e_a / e_a.sum(axis=1, keepdims=True)
-    y_b = np.zeros((n_cases, c_u))
-    y_b[np.arange(n_cases), rng.integers(0, c_u, size=n_cases)] = 1.0
+    idx_b = rng.integers(0, c_u, size=n_cases)
     e_b = rng.exponential(1.0, size=(n_cases, c_u))
-    y_hat_b = e_b / e_b.sum(axis=1, keepdims=True)
     eta = rng.uniform(size=n_cases)
 
-    delta = eta[:, None] * (y_a - y_hat_a) + (1.0 - eta[:, None]) * (y_b - y_hat_b)
-    err_mix = np.abs(delta).sum(axis=1)
-    err_b = np.abs(y_b - y_hat_b).sum(axis=1)
-    return err_b - err_mix
+    diffs = np.empty(n_cases)
+    for start in range(0, n_cases, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        y_a = np.eye(c_u)[idx_a[rows]]
+        y_hat_a = e_a[rows] / e_a[rows].sum(axis=1, keepdims=True)
+        y_b = np.eye(c_u)[idx_b[rows]]
+        y_hat_b = e_b[rows] / e_b[rows].sum(axis=1, keepdims=True)
+        w = eta[rows, None]
+        delta = w * (y_a - y_hat_a) + (1.0 - w) * (y_b - y_hat_b)
+        diffs[rows] = np.abs(y_b - y_hat_b).sum(axis=1) - np.abs(delta).sum(axis=1)
+    return diffs

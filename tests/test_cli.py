@@ -322,8 +322,16 @@ def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
     assert err.startswith("i/o error:") and "non-finite parameter" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--seed", "-1")])
-def test_analyze_bad_arguments_exit_2(flag, value, capsys):
+@pytest.mark.parametrize(
+    "flag,value", [("--samples", "0"), ("--seed", "-1"), ("--samples", "10000000000")]
+)
+def test_analyze_bad_arguments_exit_2(flag, value, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bad arguments reached the Monte Carlo sweep")
+
+    # the arguments fail before any draw is allocated
+    monkeypatch.setattr(cli.theory, "monte_carlo_mixup", refuse)
+    monkeypatch.setattr(cli.theory, "monte_carlo_inequality", refuse)
     rc = cli.main(["analyze", flag, value])
     assert rc == 2
     err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Dataset generation, persistence, the truth firewall, and batching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,40 @@ def test_load_dataset_row_errors(tmp_path):
     path.write_text(head + "U,zero,1.0,2.0\n")
     with pytest.raises(DataFormatError, match="line 2: bad class index"):
         load_dataset(str(path))
+
+    path.write_text(head + "U,0,1.0,abc\n")
+    with pytest.raises(DataFormatError, match="line 2: bad feature value"):
+        load_dataset(str(path))
+
+
+def test_save_dataset_exact_text(tmp_path):
+    ds = Dataset(
+        LabeledSet(np.array([[-0.0, 1e-05, 0.0001]]), np.array([1]), 2),
+        UnlabeledSet(
+            np.array([[1e16, 5e-324, 1.7976931348623157e308], [0.30000000000000004, 1.0, -2.5]]),
+            2,
+        ),
+        HiddenTruth(np.array([0, 1])),
+    )
+    path = tmp_path / "ds.csv"
+    save_dataset(str(path), ds)
+    assert path.read_bytes() == (
+        b"omx-dataset,v1,3,2,2\n"
+        b"L,1,-0.0,1e-05,0.0001\n"
+        b"U,0,1e+16,5e-324,1.7976931348623157e+308\n"
+        b"U,1,0.30000000000000004,1.0,-2.5\n"
+    )
+    back = load_dataset(str(path))
+    assert back == ds
+    assert np.signbit(back.labeled.x[0, 0])
+
+
+def test_save_dataset_bytes_frozen(tmp_path):
+    # sha256 of the 50k-row file written before the array-at-a-time writer
+    path = tmp_path / "ds.csv"
+    save_dataset(str(path), generate_blobs(SplitSpec(per_class=5000, seed=0)))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "7c684a676e1d646289dd734a8e49adab1e1bea28063beff8183d6ce4775cf62e"
 
 
 def test_load_split_spec(tmp_path):

@@ -4,14 +4,19 @@ Truncated, bit-flipped and garbage variants of a valid dataset, checkpoint,
 run config and split spec go through their loaders. Each variant must
 either load or raise the loader's documented error; anything else (a
 UnicodeDecodeError, a bare ValueError, an IndexError) is a bug the CLI
-would print as a traceback.
+would print as a traceback. The dataset loader must also match the
+per-line reference loader on every variant and on hand-built files with
+several faults: the same Dataset, or the same error and message.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+import dataset_reference
+from openmix import data
 from openmix.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from openmix.config import ConfigError, RunConfig, load_run_config
 from openmix.data import (
@@ -89,3 +94,59 @@ def test_corrupt_files_load_or_fail_typed(kind, tmp_path):
             outcomes["loaded"] += 1
     assert sum(outcomes.values()) == 4 * CASES
     assert outcomes["typed error"] > 0
+
+
+def outcome(load, path):
+    """The loaded Dataset, or the type and message of what the load raised."""
+    try:
+        return load(path)
+    except Exception as exc:  # the two loaders must fail alike, whatever the error
+        return type(exc), str(exc)
+
+
+GOOD_LINES = ["L,0,1.0,-2.5", "L,1, 3.0 ,1_0.5", "U,0,0.5,0.25", "U,2,+1e-3,-0.0", "U,1,7,8"]
+FAULTY_LINES = [
+    "L,0,1.0",  # field count
+    "X,0,1.0,2.0,3.0",  # field count before kind
+    "L,x,1.0,2.0",  # class index
+    "Q,x,1.0,abc",  # class index before feature and kind
+    "U,1,1.0,abc",  # feature value
+    "L,9,1.0,abc",  # feature value before range
+    "U,1,inf,2.0",  # non-finite
+    "Q,5,nan,2.0",  # non-finite before kind
+    "Q,0,1.0,2.0",  # kind
+    "L,2,1.0,2.0",  # labeled range
+    "U,-1,1.0,2.0",  # hidden range
+    "U,99999999999999999999999,1.0,2.0",  # hidden range, beyond int64
+]
+
+
+def multi_fault_files():
+    """Valid files and files with faults on two lines, in every order."""
+    head = "omx-dataset,v1,2,2,3"
+    yield [head, *GOOD_LINES]
+    yield [head, *GOOD_LINES[2:]]  # no L row
+    yield [head, GOOD_LINES[0], "", GOOD_LINES[2], ""]  # one U row, blank lines
+    for first, second in itertools.product(FAULTY_LINES, repeat=2):
+        yield [head, GOOD_LINES[0], first, GOOD_LINES[2], "", second, *GOOD_LINES[3:]]
+        yield [head, first, second, *GOOD_LINES]
+
+
+@pytest.mark.parametrize("chunk", [data.CHUNK_LINES, 2])
+def test_loader_matches_per_line_reference(chunk, tmp_path, monkeypatch):
+    # a small chunk puts the faults of one file in different chunks
+    monkeypatch.setattr(data, "CHUNK_LINES", chunk)
+    path = str(tmp_path / "dataset")
+    write_dataset(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    variants = list(corruptions(blob, np.random.default_rng(7)))
+    variants += [("\n".join(lines) + "\n").encode() for lines in multi_fault_files()]
+    loaded = 0
+    for variant in variants:
+        with open(path, "wb") as fh:
+            fh.write(variant)
+        want = outcome(dataset_reference.load_dataset, path)
+        assert outcome(load_dataset, path) == want, variant
+        loaded += isinstance(want, data.Dataset)
+    assert 0 < loaded < len(variants)

@@ -1,9 +1,12 @@
 """Label-error reliability analysis: hand values, dual routes, random sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from openmix import theory
+import theory_reference
 
 
 def test_label_error_hand_values():
@@ -147,3 +150,30 @@ def test_monte_carlo_mixup_distribution():
     assert diffs.shape == (20_000,)
     assert (diffs < 0).sum() > 100  # plenty of negative witnesses
     assert (diffs > 0).sum() > 100
+
+
+@pytest.mark.parametrize("c_l,c_u", [(5, 5), (2, 9)])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "n", [1, theory.BLOCK_ROWS - 1, theory.BLOCK_ROWS, 3 * theory.BLOCK_ROWS + 7]
+)
+def test_blocked_sweeps_equal_unblocked_reference(n, seed, c_l, c_u):
+    direct, closed = theory.monte_carlo_inequality(n, seed, c_l=c_l, c_u=c_u)
+    want_direct, want_closed = theory_reference.monte_carlo_inequality(n, seed, c_l=c_l, c_u=c_u)
+    assert direct.tobytes() == want_direct.tobytes()
+    assert closed.tobytes() == want_closed.tobytes()
+    got = theory.monte_carlo_mixup(n, seed, c_u=c_u)
+    assert got.tobytes() == theory_reference.monte_carlo_mixup(n, seed, c_u=c_u).tobytes()
+
+
+def test_monte_carlo_inequality_peak_memory():
+    # 200k cases: the draws and the two outputs hold 16 MB and the blocks
+    # add about 12 MB. One full-length (n, c_l + c_u) temporary is 16 MB
+    # more; the unblocked sweep peaks near 160 MB.
+    tracemalloc.start()
+    try:
+        theory.monte_carlo_inequality(200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
