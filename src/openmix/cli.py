@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from . import theory, train
+from . import nn, theory, train
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, load_run_config
 from .data import (
@@ -95,7 +95,8 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ds = _load_data(args.data)
     _check_geometry(model, ds, expect_c_u=True)
-    acc, nmi = train.evaluate(model, ds.unlabeled, ds.truth)
+    _, _, z_u = nn.forward(model, ds.unlabeled.x)
+    acc, nmi = train.evaluate(z_u.argmax(axis=1), ds.truth, ds.c_u)
     print(f"ACC {acc:.6f}")
     print(f"NMI {nmi:.6f}")
     return 0

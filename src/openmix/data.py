@@ -237,6 +237,8 @@ def _parse_rows(parse, tokens: list[str], dtype, per_row: int) -> tuple[np.ndarr
     return np.array(values[: row * per_row], dtype), row
 
 
+INT64_MAX = 2**63 - 1
+
 # Lines parsed per chunk: a chunk's split tokens take a few MB, so a large
 # file never holds the tokens of all its lines at once.
 CHUNK_LINES = 8192
@@ -270,7 +272,9 @@ def _parse_chunk(rows: list[list[str]], linenos: list[int], input_dim: int, c_l:
     kinds = np.array([r[0] for r in rows[:n]], dtype=object)
     labels = labels[:n]
     is_l, is_u = kinds == "L", kinds == "U"
-    ok = (labels >= 0) & (is_l & (labels < c_l) | is_u & (labels < c_u))
+    # labels are stored as int64, so a class index beyond it is out of range
+    # even where the header's class count is larger still
+    ok = (labels >= 0) & (labels <= INT64_MAX) & (is_l & (labels < c_l) | is_u & (labels < c_u))
     if not ok.all():
         n = int(np.argmin(ok))
         kind, label = kinds[n], labels[n]

@@ -10,8 +10,8 @@ anchor) dominates the unlabeled example it is mixed with.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,36 +71,47 @@ def select_anchors(z_u_pool: np.ndarray, theta2: float, soft: bool = False) -> A
     return AnchorSet(idx.astype(np.int64), p[idx] if soft else labels[idx])
 
 
+class MixedBatch(NamedTuple):
+    """A drawn and mixed batch whose labels wait for the unlabeled predictions.
+
+    Row i mixes unlabeled row unl_rows[i] with a partner: a labeled example
+    when from_labeled[i], else an anchor. lab_labels holds the one-hot
+    labels of the labeled partners and anc_labels the labels of the anchor
+    partners, each in row order.
+    """
+
+    m: np.ndarray  # (B, d) mixed inputs
+    eta_star: np.ndarray  # (B,) the partner's folded weight
+    from_labeled: np.ndarray  # (B,) source flag
+    unl_rows: np.ndarray  # (B,) drawn unlabeled row indices, repeats included
+    lab_labels: np.ndarray  # (n_lab, C_l)
+    anc_labels: np.ndarray  # (B - n_lab, C_u)
+
+
 def build_mixed_batch(
     size: int,
     labeled_x: np.ndarray,
     labeled_onehot: np.ndarray,
     unlabeled_x: np.ndarray,
-    predict_u: Callable[[np.ndarray], np.ndarray],
     anchors: AnchorSet | None,
     epsilon: float,
     rng: np.random.Generator,
     use_labeled: bool,
     use_anchors: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble one mixed batch by uniform pairing with replacement.
+) -> MixedBatch:
+    """Draw one mixed batch by uniform pairing with replacement and mix its inputs.
 
-    Row i mixes a drawn unlabeled row with a partner: a labeled example when
-    from_labeled[i], else an anchor. When both sources are active each row
-    flips a fair coin between them. Returns (m, v, eta_star, from_labeled):
-    mixed inputs (B, d), joint labels (B, C_l + C_u), the partner's folded
-    weight (B,) and the source flag (B,). A labeled row's label is
-    [one-hot ++ zeros], an anchor's and a prediction's [zeros ++ distribution].
+    When both sources are active each row flips a fair coin between them.
+    The mixed inputs need no prediction, so they are built here; the joint
+    labels need the drawn unlabeled rows' predictions, which mixed_labels()
+    takes.
 
     Draw order is fixed so a seeded rng reproduces the batch: the sources
     (only when both are active), the labeled rows, the anchor rows, the
-    unlabeled rows, then the B mixing weights. Predictions are asked for
-    only after every draw: predict_u is called once, with the (B,) drawn
-    unlabeled row indices in row order (repeats included), and returns
-    their (B, C_u) distributions over the new classes.
+    unlabeled rows, then the B mixing weights.
 
     Raises ValueError when a drawn labeled row is not exactly one-hot, or a
-    drawn prediction or anchor label is not a distribution.
+    drawn anchor label is not a distribution.
     """
     if size < 1:
         raise ValueError("batch size must be >= 1")
@@ -110,7 +121,6 @@ def build_mixed_batch(
         raise ValueError("anchor mixing requested with an empty anchor set")
     if labeled_x.shape[1] != unlabeled_x.shape[1]:
         raise ValueError("feature dimensions differ")
-    c_l = labeled_onehot.shape[1]
 
     if use_labeled and use_anchors:
         from_labeled = rng.integers(0, 2, size=size).astype(bool)
@@ -125,30 +135,49 @@ def build_mixed_batch(
     unl_rows = rng.integers(0, unlabeled_x.shape[0], size=size)
     _, eta_star = sample_mix_weight(epsilon, rng, size)
 
-    pred = np.asarray(predict_u(unl_rows), dtype=np.float64)
-    if pred.ndim != 2 or pred.shape[0] != size:
-        raise ValueError("predict_u must return one distribution per drawn row")
-    _check_simplex(pred, "predictions")
-    c_u = pred.shape[1]
-
     partner_x = np.empty((size, labeled_x.shape[1]))
-    partner_v = np.zeros((size, c_l + c_u))
+    lab_labels = labeled_onehot[lab_rows]
+    anc_labels = np.empty((0, 0))
     if n_lab:
-        _check_one_hot(labeled_onehot[lab_rows])
+        _check_one_hot(lab_labels)
         partner_x[from_labeled] = labeled_x[lab_rows]
-        partner_v[from_labeled, :c_l] = labeled_onehot[lab_rows]
     if size - n_lab:
         anc_labels = anchors.labels[anc_rows]
         _check_simplex(anc_labels, "anchor labels")
         partner_x[from_anchor] = unlabeled_x[anchors.indices[anc_rows]]
-        partner_v[from_anchor, c_l:] = anc_labels
-    own_v = np.zeros((size, c_l + c_u))
-    own_v[:, c_l:] = pred
 
     w = eta_star[:, None]
     m = w * partner_x + (1.0 - w) * unlabeled_x[unl_rows]
-    v = w * partner_v + (1.0 - w) * own_v
-    return m, v, eta_star, from_labeled
+    return MixedBatch(m, eta_star, from_labeled, unl_rows, lab_labels, anc_labels)
+
+
+def mixed_labels(batch: MixedBatch, pred: np.ndarray) -> np.ndarray:
+    """The (B, C_l + C_u) joint labels of a mixed batch.
+
+    pred holds the (B, C_u) distributions over the new classes of the
+    batch's unlabeled rows, batch.unl_rows, in row order. A labeled
+    partner's label is [one-hot ++ zeros], an anchor's and a prediction's
+    [zeros ++ distribution]; each row mixes its partner's with its
+    prediction's at the batch's weight.
+
+    Raises ValueError when pred is not one distribution per row.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    size = batch.eta_star.shape[0]
+    if pred.ndim != 2 or pred.shape[0] != size:
+        raise ValueError("need one distribution per drawn unlabeled row")
+    _check_simplex(pred, "predictions")
+    c_l, c_u = batch.lab_labels.shape[1], pred.shape[1]
+
+    partner_v = np.zeros((size, c_l + c_u))
+    partner_v[batch.from_labeled, :c_l] = batch.lab_labels
+    if len(batch.anc_labels):
+        partner_v[~batch.from_labeled, c_l:] = batch.anc_labels
+    own_v = np.zeros((size, c_l + c_u))
+    own_v[:, c_l:] = pred
+
+    w = batch.eta_star[:, None]
+    return w * partner_v + (1.0 - w) * own_v
 
 
 def opm_loss(

@@ -157,12 +157,16 @@ def forward(
     acts = []
     last = len(model.backbone) - 1
     for i, layer in enumerate(model.backbone):
-        h = h @ layer.w + layer.b
+        # bias and ReLU in place: no second temporary of the layer's size
+        h = h @ layer.w
+        h += layer.b
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    z_l = acts[-1] @ model.old_head.w + model.old_head.b
-    z_u = acts[-1] @ model.new_head.w + model.new_head.b
+    z_l = acts[-1] @ model.old_head.w
+    z_l += model.old_head.b
+    z_u = acts[-1] @ model.new_head.w
+    z_u += model.new_head.b
     return acts, z_l, z_u
 
 
@@ -172,13 +176,14 @@ def backward(
     acts: list[np.ndarray],
     grad_z_l: np.ndarray,
     grad_z_u: np.ndarray,
+    freeze_backbone: bool = False,
 ) -> TwoHeadMLP:
     """Gradients of sum(grad_z_l * z_l) + sum(grad_z_u * z_u) w.r.t. all parameters.
 
     acts are the activations forward() returned for this batch. Returns a
     TwoHeadMLP-shaped container holding one gradient array per parameter.
-    Gradients are produced for every parameter group; freezing is the
-    caller's job (mask before the optimizer step).
+    With freeze_backbone the backbone part is skipped and its gradients are
+    zeros; the head gradients are the same either way.
     """
     x = np.asarray(batch, dtype=np.float64)
     g_l = np.asarray(grad_z_l, dtype=np.float64)
@@ -192,6 +197,9 @@ def backward(
     feats = acts[-1]
     d_old = Affine(feats.T @ g_l, g_l.sum(axis=0))
     d_new = Affine(feats.T @ g_u, g_u.sum(axis=0))
+    if freeze_backbone:
+        zeros = [Affine(np.zeros_like(a.w), np.zeros_like(a.b)) for a in model.backbone]
+        return TwoHeadMLP(zeros, d_old, d_new)
     d_h = g_l @ model.old_head.w.T + g_u @ model.new_head.w.T
 
     d_backbone: list[Affine] = [None] * len(model.backbone)  # type: ignore[list-item]
@@ -202,7 +210,8 @@ def backward(
             d_h = d_h * (acts[i] > 0.0)
         h_prev = x if i == 0 else acts[i - 1]
         d_backbone[i] = Affine(h_prev.T @ d_h, d_h.sum(axis=0))
-        d_h = d_h @ model.backbone[i].w.T
+        if i > 0:  # the input needs no gradient
+            d_h = d_h @ model.backbone[i].w.T
     return TwoHeadMLP(d_backbone, d_old, d_new)
 
 
@@ -230,10 +239,3 @@ def add_scaled_(dst: TwoHeadMLP, src: TwoHeadMLP, scale: float = 1.0) -> None:
     """In-place dst += scale * src over all parameter arrays."""
     for (_, d), (_, s) in zip(iter_params(dst), iter_params(src)):
         d += scale * s
-
-
-def zero_backbone_(grads: TwoHeadMLP) -> None:
-    """Mask backbone gradients in place; used to freeze the backbone."""
-    for layer in grads.backbone:
-        layer.w[...] = 0.0
-        layer.b[...] = 0.0

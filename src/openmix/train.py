@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses, metrics, mixing, nn
 from .config import RunConfig
-from .data import Dataset, HiddenTruth, LabeledSet, UnlabeledSet, batch_iter
+from .data import Dataset, HiddenTruth, LabeledSet, batch_iter
 from .fileio import write_atomic
 from .optim import RmspropState
 
@@ -102,15 +102,13 @@ def attach_new_head(model: nn.TwoHeadMLP, c_u: int, seed: int) -> None:
 
 
 def evaluate(
-    model: nn.TwoHeadMLP, unlabeled: UnlabeledSet, truth: HiddenTruth
+    pool_pred: np.ndarray, truth: HiddenTruth, num_classes: int
 ) -> tuple[float, float]:
-    """Cluster by new-head argmax and score against the hidden truth."""
-    _, _, z_u = nn.forward(model, unlabeled.x)
-    pred = z_u.argmax(axis=1)
+    """Score the pool's cluster assignments (new-head argmax) against the hidden truth."""
     labels = truth.labels_for_eval()
     return (
-        metrics.acc(pred, labels, unlabeled.num_classes),
-        metrics.nmi(pred, labels),
+        metrics.acc(pool_pred, labels, num_classes),
+        metrics.nmi(pool_pred, labels),
     )
 
 
@@ -141,11 +139,15 @@ def cluster_train(
 ) -> list[EpochReport]:
     """Stage 2: clustering losses plus, when active, the mixing loss.
 
-    Per epoch: refresh anchors from the full pool, then for each unlabeled
-    batch compute the pairwise and pseudo-label losses and, once mixing is
-    injected, the mixing loss on one freshly built mixed batch; a single
-    optimizer step applies the combined gradient. Backbone gradients are
-    masked while epoch <= freeze_epochs.
+    Per epoch: select anchors from the pool's logits, then for each
+    unlabeled batch compute the pairwise and pseudo-label losses and, once
+    mixing is injected, the mixing loss on one freshly built mixed batch; a
+    single optimizer step applies the combined gradient. One forward pass
+    per step serves all three: the batch, the mixed batch and the mixed
+    batch's unlabeled rows, stacked. The pool is forwarded once before the
+    first epoch and once after each, for that epoch's evaluation and the
+    next epoch's anchors. Backbone gradients are zero while epoch <=
+    freeze_epochs.
     """
     labeled, unlabeled, truth = dataset.labeled, dataset.unlabeled, dataset.truth
     if len(unlabeled) < 2:
@@ -159,8 +161,8 @@ def cluster_train(
 
     reports: list[EpochReport] = []
     warned_no_anchors = False
+    _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", 1)
     for epoch in range(1, cfg.cluster_epochs + 1):
-        _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", epoch)
         anchors = mixing.select_anchors(
             z_u_pool, cfg.theta2, soft=cfg.anchor_labels == "soft"
         )
@@ -181,57 +183,66 @@ def cluster_train(
             want_anchor = False
         mix_active = openmix_on and (want_labeled or want_anchor)
         mix_rng = np.random.default_rng([mix_seed, epoch])
-
-        def predict_u(rows: np.ndarray) -> np.ndarray:
-            # mixing targets come from the current parameters, as constants
-            _, _, z = _forward(model, unlabeled.x[rows], "mixed-target", epoch)
-            return nn.softmax(z)
+        frozen = epoch <= cfg.freeze_epochs
 
         ppl_sum = pll_sum = opm_sum = 0.0
         n_batches = 0
         for idx in batch_iter(unlabeled, cfg.batch_unlabeled, batch_seed, epoch):
             x = unlabeled.x[idx]
-            acts, _, z_u = _forward(model, x, "unlabeled-batch", epoch)
-            ppl, g_ppl, pll, g_pll = losses.clustering_losses(z_u, cfg.theta1, cfg.theta2)
-            _check_finite(ppl, "pairwise similarity loss", epoch)
-            _check_finite(pll, "pseudo-label loss", epoch)
-            g_zu = g_ppl + cfg.lambda1 * g_pll
-            grads = nn.backward(
-                model, x, acts, np.zeros((x.shape[0], model.c_l)), g_zu
-            )
-
+            n = x.shape[0]
             if mix_active:
-                m, v, _, _ = mixing.build_mixed_batch(
+                mixed = mixing.build_mixed_batch(
                     cfg.batch_mixed,
                     labeled.x,
                     onehot,
                     unlabeled.x,
-                    predict_u,
                     anchors,
                     cfg.epsilon,
                     mix_rng,
                     use_labeled=want_labeled,
                     use_anchors=want_anchor,
                 )
-                acts_m, z_l_m, z_u_m = _forward(model, m, "mixed-batch", epoch)
+                stacked = np.concatenate([x, mixed.m, unlabeled.x[mixed.unl_rows]])
+            else:
+                stacked = x
+            acts, z_l, z_u = _forward(model, stacked, "unlabeled-batch", epoch)
+
+            ppl, g_ppl, pll, g_pll = losses.clustering_losses(
+                z_u[:n], cfg.theta1, cfg.theta2
+            )
+            _check_finite(ppl, "pairwise similarity loss", epoch)
+            _check_finite(pll, "pseudo-label loss", epoch)
+            g_zu = g_ppl + cfg.lambda1 * g_pll
+            grads = nn.backward(
+                model, x, [a[:n] for a in acts], np.zeros((n, model.c_l)), g_zu,
+                freeze_backbone=frozen,
+            )
+
+            if mix_active:
+                rows = slice(n, n + cfg.batch_mixed)
+                # mixing targets come from the current parameters, as constants
+                v = mixing.mixed_labels(mixed, nn.softmax(z_u[rows.stop :]))
                 opm, g_zl_m, g_zu_m = mixing.opm_loss(
-                    z_l_m, z_u_m, v, cfg.opm_softmax
+                    z_l[rows], z_u[rows], v, cfg.opm_softmax
                 )
                 _check_finite(opm, "mixing loss", epoch)
                 grads_m = nn.backward(
-                    model, m, acts_m, cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m
+                    model, mixed.m, [a[rows] for a in acts],
+                    cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m,
+                    freeze_backbone=frozen,
                 )
                 nn.add_scaled_(grads, grads_m)
                 opm_sum += opm
 
-            if epoch <= cfg.freeze_epochs:
-                nn.zero_backbone_(grads)
             opt.step(model, grads)
             ppl_sum += ppl
             pll_sum += pll
             n_batches += 1
 
-        epoch_acc, epoch_nmi = evaluate(model, unlabeled, truth)
+        _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", epoch)
+        epoch_acc, epoch_nmi = evaluate(
+            z_u_pool.argmax(axis=1), truth, unlabeled.num_classes
+        )
         reports.append(
             EpochReport(
                 epoch=epoch,

@@ -200,10 +200,12 @@ def test_05_mixed_examples_keep_their_invariants():
         labels=np.eye(c_u)[rng.integers(0, c_u, size=12)],
     )
 
-    _, v, eta_star, from_labeled = mixing.build_mixed_batch(
-        10_000, labeled_x, labeled_onehot, unlabeled_x, lambda rows: pred_u[rows],
+    batch = mixing.build_mixed_batch(
+        10_000, labeled_x, labeled_onehot, unlabeled_x,
         anchors, epsilon=1.0, rng=rng, use_labeled=True, use_anchors=True,
     )
+    v = mixing.mixed_labels(batch, pred_u[batch.unl_rows])
+    eta_star, from_labeled = batch.eta_star, batch.from_labeled
     bad = 0
     for row, star, labeled in zip(v, eta_star, from_labeled):
         if abs(row.sum() - 1.0) > 1e-9 or row.min() < 0.0:

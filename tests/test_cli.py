@@ -311,6 +311,20 @@ def test_header_only_dataset_exits_4(pipeline, tmp_path, capsys):
     assert err.startswith("i/o error:") and "found 0 and 0" in err
 
 
+def test_class_index_beyond_int64_exits_4(tmp_path, capsys):
+    # the header's class count and the index are both beyond int64
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "dataset.csv").write_text(
+        "omx-dataset,v1,2,99999999999999999999,3\nL,99999999999999999998,1.0,2.0\n",
+        encoding="utf-8",
+    )
+    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "labeled class 99999999999999999998 out of range" in err
+
+
 def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
     blob = bytearray((pipeline.root / "out" / "model.omx").read_bytes())
     blob[-8:] = struct.pack("<d", float("nan"))  # the last new-head bias

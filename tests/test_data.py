@@ -185,6 +185,15 @@ def test_load_dataset_row_errors(tmp_path):
     with pytest.raises(DataFormatError, match="line 2: bad feature value"):
         load_dataset(str(path))
 
+    # header class counts beyond int64: an index below them still cannot be stored
+    huge = "omx-dataset,v1,2,99999999999999999999,99999999999999999999\n"
+    path.write_text(huge + "U,0,1.0,2.0\nL,99999999999999999998,1.0,2.0\n")
+    with pytest.raises(DataFormatError, match="line 3: labeled class 99999999999999999998"):
+        load_dataset(str(path))
+    path.write_text(huge + "L,0,1.0,2.0\nU,9223372036854775808,1.0,2.0\n")
+    with pytest.raises(DataFormatError, match="line 3: hidden class 9223372036854775808"):
+        load_dataset(str(path))
+
 
 def test_save_dataset_exact_text(tmp_path):
     ds = Dataset(

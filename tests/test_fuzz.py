@@ -121,6 +121,15 @@ FAULTY_LINES = [
 ]
 
 
+# header class counts beyond int64, and indices below them that do or do not fit it
+HUGE_HEAD = "omx-dataset,v1,2,99999999999999999999,99999999999999999999"
+HUGE_LINES = [
+    "L,99999999999999999998,1.0,2.0",
+    "U,9223372036854775808,1.0,2.0",
+    "U,9223372036854775807,1.0,2.0",  # the largest index that fits
+]
+
+
 def multi_fault_files():
     """Valid files and files with faults on two lines, in every order."""
     head = "omx-dataset,v1,2,2,3"
@@ -130,6 +139,9 @@ def multi_fault_files():
     for first, second in itertools.product(FAULTY_LINES, repeat=2):
         yield [head, GOOD_LINES[0], first, GOOD_LINES[2], "", second, *GOOD_LINES[3:]]
         yield [head, first, second, *GOOD_LINES]
+    yield [HUGE_HEAD, *GOOD_LINES]
+    for line in HUGE_LINES:
+        yield [HUGE_HEAD, *GOOD_LINES[:3], line, *GOOD_LINES[3:]]
 
 
 @pytest.mark.parametrize("chunk", [data.CHUNK_LINES, 2])
@@ -147,6 +159,11 @@ def test_loader_matches_per_line_reference(chunk, tmp_path, monkeypatch):
         with open(path, "wb") as fh:
             fh.write(variant)
         want = outcome(dataset_reference.load_dataset, path)
-        assert outcome(load_dataset, path) == want, variant
+        got = outcome(load_dataset, path)
+        if isinstance(want, tuple) and want[0] is OverflowError:
+            # the reference's one untyped failure: an index beyond int64 the header allows
+            assert got[0] is DataFormatError and "out of range" in got[1], variant
+        else:
+            assert got == want, variant
         loaded += isinstance(want, data.Dataset)
     assert 0 < loaded < len(variants)

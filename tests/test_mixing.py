@@ -8,17 +8,23 @@ from openmix import mixing, nn
 from helpers import assert_grad_close, fd_grad
 
 
-def table(pred):
-    """A predict_u callable that looks rows up in a fixed (N, C_u) table."""
-    pred = np.asarray(pred, dtype=np.float64)
-    return lambda rows: pred[rows]
+def build_labeled(size, labeled_x, onehot, unlabeled_x, pred, anchors, epsilon, rng, **kw):
+    """build_mixed_batch then mixed_labels with the drawn rows of a (N, C_u) prediction table.
+
+    Returns (m, v, eta_star, from_labeled).
+    """
+    batch = mixing.build_mixed_batch(
+        size, labeled_x, onehot, unlabeled_x, anchors, epsilon, rng, **kw
+    )
+    v = mixing.mixed_labels(batch, np.asarray(pred, dtype=np.float64)[batch.unl_rows])
+    return batch.m, v, batch.eta_star, batch.from_labeled
 
 
 def one_source_batch(size, labeled_x, onehot, unlabeled_x, pred, anchors, seed=0):
     """A batch from the labeled source alone, or the anchors alone when given."""
-    return mixing.build_mixed_batch(
+    return build_labeled(
         size, np.asarray(labeled_x, float), np.asarray(onehot, float),
-        np.asarray(unlabeled_x, float), table(pred), anchors, 1.0,
+        np.asarray(unlabeled_x, float), pred, anchors, 1.0,
         np.random.default_rng(seed), use_labeled=anchors is None,
         use_anchors=anchors is not None,
     )
@@ -110,18 +116,14 @@ def test_mix_with_anchor_structure():
     label_a = np.array([[1.0, 0.0, 0.0]])
     preds = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
     anchors = mixing.AnchorSet(np.array([0]), label_a)
-    drawn = []
-
-    def predict_u(rows):
-        drawn.append(rows)
-        return preds[rows]
-
-    m, v, eta_star, from_labeled = mixing.build_mixed_batch(
-        8, np.zeros((1, 2)), np.eye(2)[:1], pool, predict_u, anchors, 1.0,
+    batch = mixing.build_mixed_batch(
+        8, np.zeros((1, 2)), np.eye(2)[:1], pool, anchors, 1.0,
         np.random.default_rng(3), use_labeled=False, use_anchors=True,
     )
+    m, eta_star, from_labeled, rows = batch.m, batch.eta_star, batch.from_labeled, batch.unl_rows
+    v = mixing.mixed_labels(batch, preds[rows])
     assert not from_labeled.any()
-    w, rows = eta_star[:, None], drawn[0]
+    w = eta_star[:, None]
     np.testing.assert_array_equal(m, w * pool[0] + (1 - w) * pool[rows])
     # the old-class block is exactly zero for anchor mixes
     assert np.array_equal(v[:, :2], np.zeros((8, 2)))
@@ -159,8 +161,8 @@ def test_build_mixed_batch_sources_and_determinism():
     anchors = mixing.AnchorSet(np.array([0, 5]), np.eye(3)[[0, 1]].astype(float))
 
     def build(size, anchors, use_labeled, use_anchors):
-        return mixing.build_mixed_batch(
-            size, labeled_x, labeled_onehot, unlabeled_x, table(pred_u), anchors, 1.0,
+        return build_labeled(
+            size, labeled_x, labeled_onehot, unlabeled_x, pred_u, anchors, 1.0,
             np.random.default_rng(9), use_labeled=use_labeled, use_anchors=use_anchors,
         )
 
@@ -217,54 +219,48 @@ def test_build_mixed_batch_matches_per_row_reference(case):
     ))
     ref_state = ref_rng.bit_generator.state
 
+    # every draw is done by build_mixed_batch; mixed_labels draws nothing
     rng = np.random.default_rng(21)
-    calls = []
-
-    def predict_u(rows):
-        # every draw is done before predictions are asked for
-        calls.append((rows.copy(), rng.bit_generator.state))
-        return pred_u[rows]
-
-    got = mixing.build_mixed_batch(
-        size, labeled_x, labeled_onehot, unlabeled_x, predict_u, anchors, epsilon, rng, **kw,
+    batch = mixing.build_mixed_batch(
+        size, labeled_x, labeled_onehot, unlabeled_x, anchors, epsilon, rng, **kw,
     )
+    assert rng.bit_generator.state == ref_state
+    assert np.array_equal(batch.unl_rows, recorder.rows)
+    v = mixing.mixed_labels(batch, pred_u[batch.unl_rows])
+    assert rng.bit_generator.state == ref_state
+    got = (batch.m, v, batch.eta_star, batch.from_labeled)
     for name, g, w in zip(("m", "v", "eta_star", "from_labeled"), got, want):
         assert np.array_equal(g, w), name
-    assert len(calls) == 1
-    rows, state_at_call = calls[0]
-    assert np.array_equal(rows, recorder.rows)
-    assert state_at_call == ref_state
     assert rng.random() == ref_rng.random()
 
 
 def test_build_mixed_batch_rejections():
     x = np.zeros((2, 3))
     onehot = np.eye(2)
-    pred = table(np.full((2, 2), 0.5))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="empty anchor set"):
         mixing.build_mixed_batch(
-            4, x, onehot, x, pred, mixing.AnchorSet(np.empty(0, np.int64), np.zeros((0, 2))),
+            4, x, onehot, x, mixing.AnchorSet(np.empty(0, np.int64), np.zeros((0, 2))),
             1.0, rng, use_labeled=False, use_anchors=True,
         )
     with pytest.raises(ValueError, match="at least one"):
         mixing.build_mixed_batch(
-            4, x, onehot, x, pred, None, 1.0, rng, use_labeled=False, use_anchors=False,
+            4, x, onehot, x, None, 1.0, rng, use_labeled=False, use_anchors=False,
         )
     with pytest.raises(ValueError):
         mixing.build_mixed_batch(
-            0, x, onehot, x, pred, None, 1.0, rng, use_labeled=True, use_anchors=False,
+            0, x, onehot, x, None, 1.0, rng, use_labeled=True, use_anchors=False,
         )
     with pytest.raises(ValueError, match="feature dimensions"):
         mixing.build_mixed_batch(
-            4, x, onehot, np.zeros((2, 4)), pred, None, 1.0, rng,
+            4, x, onehot, np.zeros((2, 4)), None, 1.0, rng,
             use_labeled=True, use_anchors=False,
         )
-    with pytest.raises(ValueError, match="one distribution per drawn row"):
-        mixing.build_mixed_batch(
-            4, x, onehot, x, lambda rows: np.full((2, 2), 0.5), None, 1.0, rng,
-            use_labeled=True, use_anchors=False,
-        )
+    batch = mixing.build_mixed_batch(
+        4, x, onehot, x, None, 1.0, rng, use_labeled=True, use_anchors=False,
+    )
+    with pytest.raises(ValueError, match="one distribution per drawn unlabeled row"):
+        mixing.mixed_labels(batch, np.full((2, 2), 0.5))
 
 
 def test_opm_loss_corner_value():
@@ -290,11 +286,11 @@ def test_opm_per_head_value_matches_scalar_route():
     rng = np.random.default_rng(5)
     z_l = rng.normal(size=(4, 2))
     z_u = rng.normal(size=(4, 3))
-    _, v, _, _ = mixing.build_mixed_batch(
-        4, np.zeros((1, 2)), np.array([[1.0, 0.0]]), np.zeros((1, 2)),
-        lambda rows: nn.softmax(rng.normal(size=(rows.size, 3))), None, 1.0, rng,
+    batch = mixing.build_mixed_batch(
+        4, np.zeros((1, 2)), np.array([[1.0, 0.0]]), np.zeros((1, 2)), None, 1.0, rng,
         use_labeled=True, use_anchors=False,
     )
+    v = mixing.mixed_labels(batch, nn.softmax(rng.normal(size=(4, 3))))
     loss, _, _ = mixing.opm_loss(z_l, z_u, v, mode="per_head")
     pl, pu = nn.softmax(z_l), nn.softmax(z_u)
     want = 0.0

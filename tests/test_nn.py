@@ -162,6 +162,17 @@ def test_zeros_like_add_scaled_zero_backbone():
     assert all(np.all(p == 0) for _, p in nn.iter_params(z))
     nn.add_scaled_(z, m, 2.0)
     np.testing.assert_array_equal(model_params_flat(z), 2.0 * model_params_flat(m))
-    nn.zero_backbone_(z)
-    assert all(np.all(l.w == 0) and np.all(l.b == 0) for l in z.backbone)
-    assert not np.all(z.old_head.w == 0)
+    # a frozen backward returns zero backbone gradients and the full backward's heads
+    rng = np.random.default_rng(6)
+    x, gl, gu = rng.normal(size=(5, 6)), rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
+    acts = nn.forward(m, x)[0]
+    full = nn.backward(m, x, acts, gl, gu)
+    frozen = nn.backward(m, x, acts, gl, gu, freeze_backbone=True)
+    for l, f in zip(frozen.backbone, full.backbone):
+        assert l.w.tobytes() == np.zeros_like(f.w).tobytes()
+        assert l.b.tobytes() == np.zeros_like(f.b).tobytes()
+    for head in ("old_head", "new_head"):
+        assert getattr(frozen, head).w.tobytes() == getattr(full, head).w.tobytes()
+        assert getattr(frozen, head).b.tobytes() == getattr(full, head).b.tobytes()
+    assert not np.all(frozen.old_head.w == 0)
+    assert not all(np.all(l.w == 0) for l in full.backbone)

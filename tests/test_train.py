@@ -1,11 +1,13 @@
 """Two-stage trainer: seeding, freezing, truth-read audit, determinism."""
 
+import copy
 import warnings
 
 import numpy as np
 import pytest
 
-from openmix import data, losses, nn, train
+import train_reference
+from openmix import config, data, losses, mixing, nn, train
 from helpers import model_params_flat, tiny_config, tiny_spec
 
 
@@ -122,10 +124,10 @@ def test_evaluate_reads_truth_once_and_matches_metrics():
 
     ds, cfg, model = _pretrained(seed=4)
     reads = ds.truth.reads
-    acc, nmi = train.evaluate(model, ds.unlabeled, ds.truth)
-    assert ds.truth.reads == reads + 1
     _, _, z_u = nn.forward(model, ds.unlabeled.x)
     pred = z_u.argmax(axis=1)
+    acc, nmi = train.evaluate(pred, ds.truth, ds.c_u)
+    assert ds.truth.reads == reads + 1
     labels = ds.truth.labels_for_eval()
     assert acc == metrics.acc(pred, labels, ds.c_u)
     assert nmi == metrics.nmi(pred, labels)
@@ -302,6 +304,67 @@ def test_cluster_train_one_row_last_batch(batch_unlabeled, monkeypatch):
     assert [r.epoch for r in reports] == [1, 2]
     for r in reports:
         assert np.isfinite(r.loss_ppl) and np.isfinite(r.loss_pll) and np.isfinite(r.loss_opm)
+
+
+REFERENCE_CASES = {
+    "default": {},
+    "disable_openmix": dict(disable_openmix=True),
+    "opm_softmax per_head": dict(opm_softmax="per_head"),
+    "soft anchor labels": dict(anchor_labels="soft", theta2=0.6, anchor_mix_epoch=3),
+    "hidden layer, odd unlabeled batch": dict(hidden_dims=[32], batch_unlabeled=17),
+    "epsilon 0.3, odd mixed batch": dict(epsilon=0.3, batch_mixed=17),
+    "freeze ends mid-run": dict(freeze_epochs=5),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_cluster_train_matches_three_forward_reference(case):
+    # short runs at the default data scale; both routes start from one model
+    kw = dict(pretrain_epochs=30, cluster_epochs=10, **REFERENCE_CASES[case])
+    ds = data.generate_blobs(data.SplitSpec(seed=1))
+    cfg = config.RunConfig(seed=1, **kw).validate()
+    model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
+    train.pretrain(model, ds.labeled, cfg)
+    train.attach_new_head(model, ds.c_u, train.stream_seed(cfg.seed, train.TAG_HEAD))
+    ref_model = copy.deepcopy(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        reports = train.cluster_train(model, ds, cfg)
+        want = train_reference.cluster_train(ref_model, ds, cfg)
+    assert model_params_flat(model).tobytes() == model_params_flat(ref_model).tobytes()
+    assert reports_equal(reports, want)
+    if case == "soft anchor labels":
+        assert any(r.anchor_count > 0 for r in reports[cfg.anchor_mix_epoch - 1 :])
+
+
+def test_cluster_train_one_forward_per_step(monkeypatch):
+    ds, cfg, model = _pretrained(seed=13, cluster_epochs=4, labeled_mix_epoch=2)
+    calls = {"forward": 0, "pool": 0, "backward": 0, "evaluate": 0, "mixed": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            if key == "forward" and args[1] is ds.unlabeled.x:
+                calls["pool"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(nn, "forward", counting(nn.forward, "forward"))
+    monkeypatch.setattr(nn, "backward", counting(nn.backward, "backward"))
+    monkeypatch.setattr(train, "evaluate", counting(train.evaluate, "evaluate"))
+    monkeypatch.setattr(mixing, "build_mixed_batch", counting(mixing.build_mixed_batch, "mixed"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        train.cluster_train(model, ds, cfg)
+    steps_per_epoch = -(-len(ds.unlabeled) // cfg.batch_unlabeled)
+    steps = steps_per_epoch * cfg.cluster_epochs
+    mixed_steps = steps_per_epoch * (cfg.cluster_epochs - cfg.labeled_mix_epoch + 1)
+    assert calls["pool"] == cfg.cluster_epochs + 1
+    assert calls["forward"] == steps + calls["pool"]
+    assert calls["evaluate"] == cfg.cluster_epochs
+    assert calls["mixed"] == mixed_steps
+    assert calls["backward"] == steps + mixed_steps
 
 
 def test_write_metrics_csv_roundtrip(tmp_path):
