@@ -14,11 +14,6 @@ class ConfigError(Exception):
     """Raised for unknown keys, bad values, or failed validation."""
 
 
-def _field_types(cls) -> dict[str, object]:
-    # field.type is a string under deferred annotations; resolve to real types
-    return typing.get_type_hints(cls)
-
-
 def _coerce(name: str, raw: str, typ) -> object:
     raw = raw.strip()
     try:
@@ -50,42 +45,43 @@ def check_finite_floats(cfg) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
-def parse_flat(text: str, cls, instance=None):
+def _set(cfg, item: str, where: str) -> None:
+    """Set one `key=value` item on a config dataclass; `where` names it in errors."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: {item!r} is not key=value")
+    key, _, value = item.partition("=")
+    key = key.strip()
+    # field.type is a string under deferred annotations; resolve to real types
+    types = typing.get_type_hints(type(cfg))
+    if key not in types:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    setattr(cfg, key, _coerce(key, value, types[key]))
+
+
+def parse_flat(text: str, cls):
     """Fill a config dataclass from `key = value` lines.
 
     Blank lines and lines starting with '#' are ignored. Keys not declared
     on the dataclass are rejected.
     """
-    names = {f.name for f in dataclasses.fields(cls)}
-    types = _field_types(cls)
-    cfg = instance if instance is not None else cls()
+    cfg = cls()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in names:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, _coerce(key, value, types[key]))
+        if stripped and not stripped.startswith("#"):
+            _set(cfg, stripped, f"line {lineno}")
     return cfg
 
 
 def apply_overrides(cfg, overrides: list[str]):
     """Apply `--set key=value` style overrides in order."""
-    names = {f.name for f in dataclasses.fields(cfg)}
-    types = _field_types(type(cfg))
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in names:
-            raise ConfigError(f"unknown key {key!r} in override")
-        setattr(cfg, key, _coerce(key, value, types[key]))
+        _set(cfg, item, "override")
     return cfg
+
+
+# Widest backbone layer or feature a config may ask for: a square weight
+# matrix at this width takes 128 MB, and a 1000-row pool's activations 33 MB.
+MAX_WIDTH = 2**12
 
 
 @dataclass
@@ -149,8 +145,8 @@ class RunConfig:
             raise ConfigError("opm_softmax must be 'joint' or 'per_head'")
         if self.anchor_labels not in ("onehot", "soft"):
             raise ConfigError("anchor_labels must be 'onehot' or 'soft'")
-        if self.feature_dim < 1 or any(d < 1 for d in self.hidden_dims):
-            raise ConfigError("model dims must be >= 1")
+        if not all(1 <= d <= MAX_WIDTH for d in [self.feature_dim, *self.hidden_dims]):
+            raise ConfigError(f"feature_dim and hidden_dims must be in [1, {MAX_WIDTH}]")
         return self
 
 

@@ -7,7 +7,7 @@ evaluation-only registry so training code cannot touch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,6 +136,16 @@ class Dataset:
         )
 
 
+# Class counts a dataset may declare: evaluation's k x k contingency table
+# and its float copy take 256 MB at the cap, a one-hot label 32 KB a row.
+MAX_CLASSES = 2**12
+
+# Feature values a generated split may hold: 128 MB as float64, 8 times the
+# paper-shaped split (c_l=80, c_u=20, input_dim=100, per_class=200). As
+# input_dim >= c_l + c_u, it keeps the class counts within MAX_CLASSES too.
+MAX_SPLIT_VALUES = 2**24
+
+
 @dataclass
 class SplitSpec:
     """Recipe for a synthetic old/new class split."""
@@ -158,6 +168,8 @@ class SplitSpec:
             raise ConfigError("per_class must be >= 1")
         if self.input_dim < self.c_l + self.c_u:
             raise ConfigError("input_dim must be >= c_l + c_u for the center layout")
+        if (self.c_l + self.c_u) * self.per_class * self.input_dim > MAX_SPLIT_VALUES:
+            raise ConfigError(f"(c_l + c_u) * per_class * input_dim must be <= {MAX_SPLIT_VALUES}")
         if self.separation < 0 or self.sigma < 0:
             raise ConfigError("separation and sigma must be >= 0")
         if self.seed < 0:
@@ -216,27 +228,6 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise DataFormatError(f"line {lineno}: bad {what} {token!r}") from None
 
 
-def _parse_rows(parse, tokens: list[str], dtype, per_row: int) -> tuple[np.ndarray, int | None]:
-    """Parse `per_row` tokens per row with `parse` into one flat array.
-
-    Returns (values, None) when every token parses. Otherwise returns the
-    values of the rows before the first token `parse` rejects, and that
-    token's row.
-    """
-    try:
-        return np.fromiter(map(parse, tokens), dtype, len(tokens)), None
-    except ValueError:
-        pass
-    values = []
-    for token in tokens:
-        try:
-            values.append(parse(token))
-        except ValueError:
-            break
-    row = len(values) // per_row
-    return np.array(values[: row * per_row], dtype), row
-
-
 INT64_MAX = 2**63 - 1
 
 # Lines parsed per chunk: a chunk's split tokens take a few MB, so a large
@@ -244,48 +235,53 @@ INT64_MAX = 2**63 - 1
 CHUNK_LINES = 8192
 
 
+def _check_line(row: list[str], lineno: int, input_dim: int, c_l: int, c_u: int) -> None:
+    """Raise DataFormatError at the first failed check of one split data line."""
+    if len(row) != 2 + input_dim:
+        raise DataFormatError(f"line {lineno}: expected {2 + input_dim} fields, got {len(row)}")
+    label = _parse_int(row[1], lineno, "class index")
+    try:
+        feats = [float(token) for token in row[2:]]
+    except ValueError:
+        raise DataFormatError(f"line {lineno}: bad feature value") from None
+    if not np.isfinite(feats).all():
+        raise DataFormatError(f"line {lineno}: non-finite feature value")
+    kind = row[0]
+    if kind not in ("L", "U"):
+        raise DataFormatError(f"line {lineno}: row kind must be L or U, got {kind!r}")
+    # labels are stored as int64, so a class index beyond it is out of range
+    # even where the header's class count is larger still
+    if not 0 <= label <= INT64_MAX or label >= (c_l if kind == "L" else c_u):
+        side = "labeled" if kind == "L" else "hidden"
+        raise DataFormatError(f"line {lineno}: {side} class {label} out of range")
+
+
 def _parse_chunk(rows: list[list[str]], linenos: list[int], input_dim: int, c_l: int, c_u: int):
     """Parse split data lines into (x, labels, is_l, is_u) or raise at the first fault.
 
-    A chunk reports its first faulty line, and a line its first failed
-    check, in the order: field count, class index, feature values,
-    finiteness, then kind and class range. Each check runs on the rows
-    before the first fault found so far and cuts them at its own first
-    fault, so the fault held at the end is the chunk's first.
+    The lines are parsed and checked as arrays. When any check fails, one
+    walk over the lines raises at the first faulty line with that line's
+    first failed check, in the order: field count, class index, feature
+    values, finiteness, then kind and class range.
     """
-    n, fault = len(rows), None
-    fits = np.fromiter(map(len, rows), np.int64, n) == 2 + input_dim
-    if not fits.all():
-        n = int(np.argmin(fits))
-        fault = f"expected {2 + input_dim} fields, got {len(rows[n])}"
-    # class indices stay Python ints, so a huge one is out of range, not an overflow
-    labels, bad = _parse_rows(int, [r[1] for r in rows[:n]], object, 1)
-    if bad is not None:
-        n, fault = bad, f"bad class index {rows[bad][1]!r}"
-    x, bad = _parse_rows(float, [t for r in rows[:n] for t in r[2:]], np.float64, input_dim)
-    if bad is not None:
-        n, fault = bad, "bad feature value"
-    x = x.reshape(n, input_dim)
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        n, fault = int(np.argmin(finite)), "non-finite feature value"
-    kinds = np.array([r[0] for r in rows[:n]], dtype=object)
-    labels = labels[:n]
-    is_l, is_u = kinds == "L", kinds == "U"
-    # labels are stored as int64, so a class index beyond it is out of range
-    # even where the header's class count is larger still
-    ok = (labels >= 0) & (labels <= INT64_MAX) & (is_l & (labels < c_l) | is_u & (labels < c_u))
-    if not ok.all():
-        n = int(np.argmin(ok))
-        kind, label = kinds[n], labels[n]
-        if kind == "L":
-            fault = f"labeled class {label} out of range"
-        elif kind == "U":
-            fault = f"hidden class {label} out of range"
-        else:
-            fault = f"row kind must be L or U, got {kind!r}"
-    if fault is not None:
-        raise DataFormatError(f"line {linenos[n]}: {fault}")
+    n = len(rows)
+    ok = (np.fromiter(map(len, rows), np.int64, n) == 2 + input_dim).all()
+    if ok:
+        try:
+            # class indices stay Python ints, so a huge one is out of range, not an overflow
+            labels = np.fromiter(map(int, [r[1] for r in rows]), object, n)
+            x = np.fromiter(map(float, [t for r in rows for t in r[2:]]), np.float64, n * input_dim)
+        except ValueError:
+            ok = False
+    if ok:
+        x = x.reshape(n, input_dim)
+        kinds = np.array([r[0] for r in rows], dtype=object)
+        is_l, is_u = kinds == "L", kinds == "U"
+        in_range = is_l & (labels < c_l) | is_u & (labels < c_u)
+        ok = (np.isfinite(x).all(axis=1) & (labels >= 0) & (labels <= INT64_MAX) & in_range).all()
+    if not ok:
+        for row, lineno in zip(rows, linenos):
+            _check_line(row, lineno, input_dim, c_l, c_u)
     return x, labels, is_l, is_u
 
 
@@ -314,6 +310,8 @@ def load_dataset(path: str) -> Dataset:
     n_l, n_u = int(is_l.sum()), int(is_u.sum())
     if not n_l or n_u < 2:
         raise DataFormatError(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")
+    if max(c_l, c_u) > MAX_CLASSES:
+        raise DataFormatError(f"line 1: class counts must be <= {MAX_CLASSES}, got {c_l} and {c_u}")
     labeled = LabeledSet(x[is_l], labels[is_l], c_l)
     unlabeled = UnlabeledSet(x[is_u], c_u)
     return Dataset(labeled, unlabeled, HiddenTruth(labels[is_u]))

@@ -44,15 +44,22 @@ def assignment_solver(score: np.ndarray) -> np.ndarray:
     return perm
 
 
-def acc(pred: np.ndarray, truth: np.ndarray, num_classes: int | None = None) -> float:
-    """Clustering accuracy: best fraction correct over cluster relabelings."""
+def best_map_hits(
+    pred: np.ndarray, truth: np.ndarray, num_classes: int | None = None
+) -> np.ndarray:
+    """Per row, whether its cluster maps to its class under the best relabeling."""
     pred, truth = _check_pair(pred, truth)
     k = int(max(pred.max(), truth.max())) + 1 if num_classes is None else num_classes
     if pred.max() >= k or truth.max() >= k:
         raise ValueError("index out of range")
     table = contingency(pred, truth, k)
     perm = assignment_solver(table.astype(np.float64))
-    return float(table[np.arange(k), perm].sum() / pred.size)
+    return perm[pred] == truth
+
+
+def acc(pred: np.ndarray, truth: np.ndarray, num_classes: int | None = None) -> float:
+    """Clustering accuracy: best fraction correct over cluster relabelings."""
+    return float(best_map_hits(pred, truth, num_classes).mean())
 
 
 def _entropy(p: np.ndarray) -> float:

@@ -110,24 +110,15 @@ def openmix_error(case: ErrorCase) -> float:
     return reduced
 
 
-def inequality_gap_direct(case: ErrorCase) -> float:
-    """E(Y_b, Y_hat_b) minus the joint-mix label error, computed literally."""
-    return label_error(case.y_b, case.y_hat_b) - openmix_error(case)
-
-
-def inequality_gap_closed(case: ErrorCase) -> float:
-    """The same gap in closed form: sum of eta * |y_b - y_hat_b|."""
-    return float((case.eta * np.abs(case.y_b - case.y_hat_b)).sum())
-
-
 def verify_inequality(case: ErrorCase) -> tuple[float, bool]:
     """Check that mixing with a clean labeled sample never hurts label error.
 
-    Returns (difference, holds). The difference is computed by both routes,
-    which must agree to AGREEMENT_TOL; holds allows the same slack below 0.
+    Returns (difference, holds). The difference, E(Y_b, Y_hat_b) minus the
+    joint-mix label error, is computed literally and in closed form; the two
+    must agree to AGREEMENT_TOL, and holds allows the same slack below 0.
     """
-    direct = inequality_gap_direct(case)
-    closed = inequality_gap_closed(case)
+    direct = label_error(case.y_b, case.y_hat_b) - openmix_error(case)
+    closed = float((case.eta * np.abs(case.y_b - case.y_hat_b)).sum())
     if abs(direct - closed) > AGREEMENT_TOL:
         raise ArithmeticError("inequality gap disagrees between routes")
     return direct, direct >= -AGREEMENT_TOL

@@ -103,35 +103,11 @@ def attach_new_head(model: nn.TwoHeadMLP, c_u: int, seed: int) -> None:
 
 def evaluate(
     pool_pred: np.ndarray, truth: HiddenTruth, num_classes: int
-) -> tuple[float, float]:
-    """Score the pool's cluster assignments (new-head argmax) against the hidden truth."""
+) -> tuple[float, float, np.ndarray]:
+    """ACC, NMI and best-map hit mask of the pool's cluster assignments vs. the hidden truth."""
     labels = truth.labels_for_eval()
-    return (
-        metrics.acc(pool_pred, labels, num_classes),
-        metrics.nmi(pool_pred, labels),
-    )
-
-
-def _anchor_stats(
-    anchors: mixing.AnchorSet,
-    pool_pred: np.ndarray,
-    truth: HiddenTruth,
-    c_u: int,
-) -> tuple[int, float]:
-    """Anchor count and accuracy under the pool's best cluster-to-class map.
-
-    Evaluation-only: this is the one place outside evaluate() that reads the
-    hidden truth.
-    """
-    count = len(anchors)
-    if count == 0:
-        return 0, float("nan")
-    labels = truth.labels_for_eval()
-    table = metrics.contingency(pool_pred, labels, c_u)
-    perm = metrics.assignment_solver(table.astype(np.float64))
-    anchor_cluster = anchors.labels.argmax(axis=1)
-    hits = perm[anchor_cluster] == labels[anchors.indices]
-    return count, float(hits.mean())
+    hits = metrics.best_map_hits(pool_pred, labels, num_classes)
+    return float(hits.mean()), metrics.nmi(pool_pred, labels), hits
 
 
 def cluster_train(
@@ -146,13 +122,12 @@ def cluster_train(
     per step serves all three: the batch, the mixed batch and the mixed
     batch's unlabeled rows, stacked. The pool is forwarded once before the
     first epoch and once after each, for that epoch's evaluation and the
-    next epoch's anchors. Backbone gradients are zero while epoch <=
-    freeze_epochs.
+    next epoch's anchors and their accuracy. Backbone gradients are zero
+    while epoch <= freeze_epochs.
     """
     labeled, unlabeled, truth = dataset.labeled, dataset.unlabeled, dataset.truth
     if len(unlabeled) < 2:
         raise ValueError("clustering needs at least 2 unlabeled examples")
-    c_u = model.c_u
     opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
     onehot = labeled.one_hot()
     batch_seed = stream_seed(cfg.seed, TAG_STAGE2)
@@ -162,13 +137,16 @@ def cluster_train(
     reports: list[EpochReport] = []
     warned_no_anchors = False
     _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", 1)
+    pool_hits = metrics.best_map_hits(
+        z_u_pool.argmax(axis=1), truth.labels_for_eval(), unlabeled.num_classes
+    )
     for epoch in range(1, cfg.cluster_epochs + 1):
         anchors = mixing.select_anchors(
             z_u_pool, cfg.theta2, soft=cfg.anchor_labels == "soft"
         )
-        anchor_count, anchor_acc = _anchor_stats(
-            anchors, z_u_pool.argmax(axis=1), truth, c_u
-        )
+        # an anchor's max softmax is at least theta2 > 0.5, so its captured
+        # cluster is its pool row's argmax and its hit is that row's hit
+        anchor_acc = float(pool_hits[anchors.indices].mean()) if len(anchors) else float("nan")
 
         want_labeled = epoch >= cfg.labeled_mix_epoch
         want_anchor = epoch >= cfg.anchor_mix_epoch
@@ -240,7 +218,7 @@ def cluster_train(
             n_batches += 1
 
         _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", epoch)
-        epoch_acc, epoch_nmi = evaluate(
+        epoch_acc, epoch_nmi, pool_hits = evaluate(
             z_u_pool.argmax(axis=1), truth, unlabeled.num_classes
         )
         reports.append(
@@ -251,7 +229,7 @@ def cluster_train(
                 loss_ppl=ppl_sum / n_batches,
                 loss_pll=pll_sum / n_batches,
                 loss_opm=opm_sum / n_batches if mix_active else 0.0,
-                anchor_count=anchor_count,
+                anchor_count=len(anchors),
                 anchor_acc=anchor_acc,
             )
         )

@@ -178,6 +178,23 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "theta1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["feature_dim=1000000000000", "hidden_dims=100000000000"])
+def test_huge_model_width_exits_2(setting, tmp_path, capsys):
+    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path)), "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and setting.split("=")[0] in err
+
+
+def test_huge_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "huge.spec"
+    spec.write_text(SPEC_TEXT.replace("per_class = 8", "per_class = 1000000000000"))
+    rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "per_class" in err
+
+
 def test_non_finite_override_exits_2(pipeline, capsys):
     rc = cli.main(["pretrain", "--config", str(pipeline.cfg), "--set", "lr=nan"])
     assert rc == 2
@@ -323,6 +340,20 @@ def test_class_index_beyond_int64_exits_4(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "labeled class 99999999999999999998 out of range" in err
+
+
+def test_huge_class_count_exits_4(tmp_path, capsys):
+    # every row is valid; the header's class count alone is beyond the cap
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "dataset.csv").write_text(
+        "omx-dataset,v1,2,1000000000000,3\nL,0,1.0,2.0\nU,0,1.0,2.0\nU,2,3.0,4.0\n",
+        encoding="utf-8",
+    )
+    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "class counts must be <= 4096" in err
 
 
 def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):

@@ -2,8 +2,15 @@
 
 import pytest
 
-from openmix.config import ConfigError, RunConfig, apply_overrides, load_run_config, parse_flat
-from openmix.data import SplitSpec
+from openmix.config import (
+    MAX_WIDTH,
+    ConfigError,
+    RunConfig,
+    apply_overrides,
+    load_run_config,
+    parse_flat,
+)
+from openmix.data import MAX_CLASSES, MAX_SPLIT_VALUES, SplitSpec
 
 
 def test_default_values():
@@ -120,6 +127,12 @@ def test_validate_rejects(field, value):
         (SplitSpec, "sigma", float("inf")),
         (RunConfig, "seed", -1),
         (SplitSpec, "seed", -1),
+        (RunConfig, "feature_dim", 10**12),
+        (RunConfig, "feature_dim", MAX_WIDTH + 1),
+        (RunConfig, "hidden_dims", [10**11]),
+        (RunConfig, "hidden_dims", [32, MAX_WIDTH + 1]),
+        (SplitSpec, "per_class", 10**12),
+        (SplitSpec, "per_class", MAX_SPLIT_VALUES // (10 * 16) + 1),
     ],
 )
 def test_validate_rejects_non_finite_and_out_of_range(cls, field, value):
@@ -127,6 +140,14 @@ def test_validate_rejects_non_finite_and_out_of_range(cls, field, value):
     setattr(cfg, field, value)
     with pytest.raises(ConfigError, match=field):
         cfg.validate()
+
+
+def test_split_value_cap_bounds_class_counts():
+    # input_dim >= c_l + c_u, so a split with more classes than a dataset may
+    # declare already holds too many values
+    spec = SplitSpec(c_l=1, c_u=MAX_CLASSES, per_class=1, input_dim=MAX_CLASSES + 1)
+    with pytest.raises(ConfigError, match="per_class"):
+        spec.validate()
 
 
 def test_load_run_config_roundtrip(tmp_path):

@@ -88,6 +88,17 @@ def test_acc_hand_cases():
     assert metrics.acc(one_wrong, truth) == pytest.approx(5 / 6)
 
 
+def test_best_map_hits_hand_case():
+    # clusters are a relabeling: cluster 0 -> class 1, cluster 1 -> class 0
+    truth = np.array([1, 1, 0, 0])
+    hits = metrics.best_map_hits(np.array([0, 0, 1, 1]), truth, 2)
+    assert hits.tolist() == [True, True, True, True]
+    # move row 3 to cluster 0: the map is kept and row 3 now disagrees with it
+    hits = metrics.best_map_hits(np.array([0, 0, 1, 0]), truth, 2)
+    assert hits.tolist() == [True, True, True, False]
+    assert hits[[0, 3]].mean() == 0.5
+
+
 def test_acc_matches_brute_force_random():
     rng = np.random.default_rng(1)
     for _ in range(40):

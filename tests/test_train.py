@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import train_reference
-from openmix import config, data, losses, mixing, nn, train
+from openmix import config, data, losses, metrics, mixing, nn, train
 from helpers import model_params_flat, tiny_config, tiny_spec
 
 
@@ -120,48 +120,16 @@ def test_attach_new_head_seeded_reset():
 
 
 def test_evaluate_reads_truth_once_and_matches_metrics():
-    from openmix import metrics
-
     ds, cfg, model = _pretrained(seed=4)
     reads = ds.truth.reads
     _, _, z_u = nn.forward(model, ds.unlabeled.x)
     pred = z_u.argmax(axis=1)
-    acc, nmi = train.evaluate(pred, ds.truth, ds.c_u)
+    acc, nmi, hits = train.evaluate(pred, ds.truth, ds.c_u)
     assert ds.truth.reads == reads + 1
     labels = ds.truth.labels_for_eval()
     assert acc == metrics.acc(pred, labels, ds.c_u)
     assert nmi == metrics.nmi(pred, labels)
-
-
-def test_anchor_stats_no_anchors_reads_nothing():
-    from openmix import mixing
-
-    truth = data.HiddenTruth(np.array([0, 1, 2]))
-    empty = mixing.AnchorSet(np.empty(0, np.int64), np.zeros((0, 3)))
-    count, acc = train._anchor_stats(empty, np.array([0, 1, 2]), truth, 3)
-    assert count == 0
-    assert np.isnan(acc)
-    assert truth.reads == 0
-
-
-def test_anchor_stats_hand_case():
-    from openmix import mixing
-
-    # clusters are a relabeling: cluster 0 -> class 1, cluster 1 -> class 0
-    truth = data.HiddenTruth(np.array([1, 1, 0, 0]))
-    pool_pred = np.array([0, 0, 1, 1])
-    anchors = mixing.AnchorSet(
-        np.array([0, 3]), np.array([[1.0, 0.0], [0.0, 1.0]])
-    )
-    count, acc = train._anchor_stats(anchors, pool_pred, truth, 2)
-    assert count == 2
-    assert acc == 1.0
-    # flip one anchor's captured label: it now disagrees with the map
-    anchors = mixing.AnchorSet(
-        np.array([0, 3]), np.array([[0.0, 1.0], [0.0, 1.0]])
-    )
-    _, acc = train._anchor_stats(anchors, pool_pred, truth, 2)
-    assert acc == 0.5
+    assert np.array_equal(hits, metrics.best_map_hits(pred, labels, ds.c_u))
 
 
 def test_cluster_train_report_shape_and_loss_fields():
@@ -208,9 +176,9 @@ def test_cluster_train_truth_read_audit():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         reports = train.cluster_train(model, ds, cfg)
-    with_anchors = sum(1 for r in reports if r.anchor_count > 0)
-    # one read per epoch-end evaluation plus one per anchor-stat computation
-    assert ds.truth.reads - reads_before == len(reports) + with_anchors
+    # one read per epoch-end evaluation plus one for the pool before epoch 1
+    assert ds.truth.reads - reads_before == cfg.cluster_epochs + 1
+    assert len(reports) == cfg.cluster_epochs
 
 
 def test_cluster_train_deterministic():
@@ -339,7 +307,7 @@ def test_cluster_train_matches_three_forward_reference(case):
 
 def test_cluster_train_one_forward_per_step(monkeypatch):
     ds, cfg, model = _pretrained(seed=13, cluster_epochs=4, labeled_mix_epoch=2)
-    calls = {"forward": 0, "pool": 0, "backward": 0, "evaluate": 0, "mixed": 0}
+    calls = {"forward": 0, "pool": 0, "backward": 0, "evaluate": 0, "mixed": 0, "solver": 0}
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
@@ -354,6 +322,7 @@ def test_cluster_train_one_forward_per_step(monkeypatch):
     monkeypatch.setattr(nn, "backward", counting(nn.backward, "backward"))
     monkeypatch.setattr(train, "evaluate", counting(train.evaluate, "evaluate"))
     monkeypatch.setattr(mixing, "build_mixed_batch", counting(mixing.build_mixed_batch, "mixed"))
+    monkeypatch.setattr(metrics, "assignment_solver", counting(metrics.assignment_solver, "solver"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         train.cluster_train(model, ds, cfg)
@@ -363,6 +332,7 @@ def test_cluster_train_one_forward_per_step(monkeypatch):
     assert calls["pool"] == cfg.cluster_epochs + 1
     assert calls["forward"] == steps + calls["pool"]
     assert calls["evaluate"] == cfg.cluster_epochs
+    assert calls["solver"] == cfg.cluster_epochs + 1
     assert calls["mixed"] == mixed_steps
     assert calls["backward"] == steps + mixed_steps
 

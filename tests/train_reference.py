@@ -5,6 +5,9 @@ the unlabeled batch, the mixed batch and the mixed batch's unlabeled rows
 separately; the pool is forwarded at the start of every epoch for the
 anchors and again at its end for the evaluation; backward always computes
 the backbone gradients and a frozen backbone masks them to zero afterwards.
+Anchor accuracy takes its own route: at each epoch start, _anchor_stats
+reads the truth again and solves a fresh cluster-to-class match for the
+anchors' captured labels, where the trainer reuses its evaluation's mask.
 The network and mixed-batch code it runs is kept here as well (the plain
 forward with its fresh bias and ReLU temporaries, the backward that also
 computes the input gradient, and the builder that asks a callable for the
@@ -19,7 +22,7 @@ import warnings
 import numpy as np
 
 from openmix import losses, metrics, mixing, nn
-from openmix.data import batch_iter
+from openmix.data import HiddenTruth, batch_iter
 from openmix.mixing import _check_one_hot, _check_simplex, sample_mix_weight
 from openmix.nn import Affine, TwoHeadMLP, _check_batch
 from openmix.optim import RmspropState
@@ -28,7 +31,6 @@ from openmix.train import (
     TAG_STAGE2,
     DivergenceError,
     EpochReport,
-    _anchor_stats,
     _check_finite,
     stream_seed,
 )
@@ -148,6 +150,28 @@ def evaluate(model, unlabeled, truth):
         metrics.acc(pred, labels, unlabeled.num_classes),
         metrics.nmi(pred, labels),
     )
+
+
+def _anchor_stats(
+    anchors: mixing.AnchorSet,
+    pool_pred: np.ndarray,
+    truth: HiddenTruth,
+    c_u: int,
+) -> tuple[int, float]:
+    """Anchor count and accuracy under the pool's best cluster-to-class map.
+
+    Evaluation-only: this is the one place outside evaluate() that reads the
+    hidden truth.
+    """
+    count = len(anchors)
+    if count == 0:
+        return 0, float("nan")
+    labels = truth.labels_for_eval()
+    table = metrics.contingency(pool_pred, labels, c_u)
+    perm = metrics.assignment_solver(table.astype(np.float64))
+    anchor_cluster = anchors.labels.argmax(axis=1)
+    hits = perm[anchor_cluster] == labels[anchors.indices]
+    return count, float(hits.mean())
 
 
 def cluster_train(model, dataset, cfg):
