@@ -5,57 +5,3 @@ disjoint new classes is then clustered with pairwise and pseudo-label
 losses, optionally regularized by mixing unlabeled examples with labeled
 ones (or with confident anchors) under joint old+new label distributions.
 """
-
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, load_run_config
-from .data import (
-    DataFormatError,
-    Dataset,
-    HiddenTruth,
-    LabeledSet,
-    SplitSpec,
-    UnlabeledSet,
-    batch_iter,
-    generate_blobs,
-    load_dataset,
-    save_dataset,
-)
-from .train import (
-    DivergenceError,
-    EpochReport,
-    attach_new_head,
-    build_model,
-    cluster_train,
-    evaluate,
-    pretrain,
-    write_metrics_csv,
-)
-
-__all__ = [
-    "CheckpointError",
-    "ConfigError",
-    "DataFormatError",
-    "Dataset",
-    "DivergenceError",
-    "EpochReport",
-    "HiddenTruth",
-    "LabeledSet",
-    "RunConfig",
-    "SplitSpec",
-    "UnlabeledSet",
-    "attach_new_head",
-    "batch_iter",
-    "build_model",
-    "cluster_train",
-    "evaluate",
-    "generate_blobs",
-    "load_checkpoint",
-    "load_dataset",
-    "load_run_config",
-    "pretrain",
-    "save_checkpoint",
-    "save_dataset",
-    "write_metrics_csv",
-]
-
-__version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Layout: magic bytes "OMX1"; little-endian u32 fields input_dim, number of
 hidden layers, each hidden width, feature_dim, C_l, C_u; then every
-parameter as little-endian float64 in declaration order (backbone layers
-w,b in order, old head w,b, new head w,b).
+parameter as little-endian float64, w then b for each layer of
+nn.layer_shapes in its order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .fileio import write_atomic
-from .nn import Affine, TwoHeadMLP, iter_params, parameter_count
+from .nn import Affine, TwoHeadMLP, assemble, iter_params, layer_shapes, parameter_count
 
 MAGIC = b"OMX1"
 
@@ -43,48 +43,33 @@ def load_checkpoint(path: str) -> TwoHeadMLP:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
-
-    def read_u32(offset: int) -> tuple[int, int]:
-        if offset + 4 > len(blob):
-            raise CheckpointError(f"{path}: truncated header")
-        return struct.unpack_from("<I", blob, offset)[0], offset + 4
-
-    off = 4
-    input_dim, off = read_u32(off)
-    n_hidden, off = read_u32(off)
-    hidden_dims = []
-    for _ in range(n_hidden):
-        d, off = read_u32(off)
-        hidden_dims.append(d)
-    feature_dim, off = read_u32(off)
-    c_l, off = read_u32(off)
-    c_u, off = read_u32(off)
-    if min(input_dim, feature_dim, c_l, c_u, *hidden_dims) < 1:
+    try:
+        input_dim, n_hidden = struct.unpack_from("<2I", blob, 4)
+        # struct checks the length before it unpacks, so a huge n_hidden costs nothing
+        *hidden_dims, feature_dim, c_l, c_u = struct.unpack_from(f"<{n_hidden + 3}I", blob, 12)
+    except struct.error:
+        raise CheckpointError(f"{path}: truncated header") from None
+    shapes = layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u)
+    if min(map(min, shapes)) < 1:
         raise CheckpointError(f"{path}: layer dims must be >= 1")
 
+    off = 12 + 4 * (n_hidden + 3)
     expected = parameter_count(input_dim, hidden_dims, feature_dim, c_l, c_u)
-    payload = blob[off:]
-    if len(payload) != expected * 8:
+    if len(blob) - off != expected * 8:
         raise CheckpointError(
-            f"{path}: expected {expected} parameters, found {len(payload) // 8}"
+            f"{path}: expected {expected} parameters, found {(len(blob) - off) // 8}"
         )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(blob, dtype="<f8", offset=off)
     if not np.isfinite(flat).all():
         raise CheckpointError(f"{path}: non-finite parameter")
 
     pos = 0
 
-    def take(shape: tuple[int, ...]) -> np.ndarray:
+    def take(a: int, b: int) -> Affine:
         nonlocal pos
-        size = int(np.prod(shape))
-        out = flat[pos : pos + size].reshape(shape).copy()
-        pos += size
-        return out
+        w = flat[pos : pos + a * b].reshape(a, b)
+        bias = flat[pos + a * b : pos + (a + 1) * b]
+        pos += (a + 1) * b
+        return Affine(w.astype(np.float64), bias.astype(np.float64))
 
-    dims = [input_dim, *hidden_dims, feature_dim]
-    backbone = [
-        Affine(take((a, b)), take((b,))) for a, b in zip(dims[:-1], dims[1:])
-    ]
-    old_head = Affine(take((feature_dim, c_l)), take((c_l,)))
-    new_head = Affine(take((feature_dim, c_u)), take((c_u,)))
-    return TwoHeadMLP(backbone, old_head, new_head)
+    return assemble(shapes, take)

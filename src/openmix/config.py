@@ -79,9 +79,15 @@ def apply_overrides(cfg, overrides: list[str]):
     return cfg
 
 
-# Widest backbone layer or feature a config may ask for: a square weight
-# matrix at this width takes 128 MB, and a 1000-row pool's activations 33 MB.
+# Widest layer a model may have (a dataset's input_dim, each hidden width,
+# feature_dim): a square weight matrix at this width takes 128 MB, and a
+# 1000-row pool's activations 33 MB.
 MAX_WIDTH = 2**12
+
+# Largest mixed batch: it is drawn with replacement, so no dataset bounds it.
+# The stacked forward holds 2 * batch_mixed rows of the widest layer, 256 MB
+# at the cap and MAX_WIDTH.
+MAX_BATCH_MIXED = 2**12
 
 
 @dataclass
@@ -135,6 +141,8 @@ class RunConfig:
             raise ConfigError("rmsprop_eps must be > 0")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_mixed) < 1:
             raise ConfigError("batch sizes must be >= 1")
+        if self.batch_mixed > MAX_BATCH_MIXED:
+            raise ConfigError(f"batch_mixed must be <= {MAX_BATCH_MIXED}")
         if min(self.pretrain_epochs, self.cluster_epochs, self.freeze_epochs) < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.labeled_mix_epoch < 1 or self.anchor_mix_epoch < 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, check_finite_floats, parse_flat
+from .config import MAX_WIDTH, ConfigError, check_finite_floats, parse_flat
 from .fileio import read_text, write_atomic
 
 
@@ -170,6 +170,8 @@ class SplitSpec:
             raise ConfigError("input_dim must be >= c_l + c_u for the center layout")
         if (self.c_l + self.c_u) * self.per_class * self.input_dim > MAX_SPLIT_VALUES:
             raise ConfigError(f"(c_l + c_u) * per_class * input_dim must be <= {MAX_SPLIT_VALUES}")
+        if self.input_dim > MAX_WIDTH:
+            raise ConfigError(f"input_dim must be <= {MAX_WIDTH}")
         if self.separation < 0 or self.sigma < 0:
             raise ConfigError("separation and sigma must be >= 0")
         if self.seed < 0:
@@ -312,6 +314,8 @@ def load_dataset(path: str) -> Dataset:
         raise DataFormatError(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")
     if max(c_l, c_u) > MAX_CLASSES:
         raise DataFormatError(f"line 1: class counts must be <= {MAX_CLASSES}, got {c_l} and {c_u}")
+    if input_dim > MAX_WIDTH:
+        raise DataFormatError(f"line 1: input_dim must be <= {MAX_WIDTH}, got {input_dim}")
     labeled = LabeledSet(x[is_l], labels[is_l], c_l)
     unlabeled = UnlabeledSet(x[is_u], c_u)
     return Dataset(labeled, unlabeled, HiddenTruth(labels[is_u]))

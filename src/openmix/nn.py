@@ -105,6 +105,20 @@ def _init_affine(fan_in: int, fan_out: int, rng: np.random.Generator) -> Affine:
     return Affine(w, b)
 
 
+def layer_shapes(
+    input_dim: int, hidden_dims: list[int], feature_dim: int, c_l: int, c_u: int
+) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of every affine in declaration order: backbone, old head, new head."""
+    dims = [input_dim, *hidden_dims, feature_dim]
+    return [*zip(dims[:-1], dims[1:]), (feature_dim, c_l), (feature_dim, c_u)]
+
+
+def assemble(shapes: list[tuple[int, int]], make_affine) -> TwoHeadMLP:
+    """A model from layer_shapes, calling make_affine(fan_in, fan_out) once per layer in order."""
+    layers = [make_affine(a, b) for a, b in shapes]
+    return TwoHeadMLP(layers[:-2], layers[-2], layers[-1])
+
+
 def init_model(
     input_dim: int,
     hidden_dims: list[int],
@@ -114,24 +128,19 @@ def init_model(
     seed: int,
 ) -> TwoHeadMLP:
     """Build a freshly initialized model; identical seeds give identical weights."""
-    for d in [input_dim, feature_dim, c_l, c_u, *hidden_dims]:
-        if d < 1:
-            raise ValueError("all layer dims must be >= 1")
+    shapes = layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u)
+    if min(map(min, shapes)) < 1:
+        raise ValueError("all layer dims must be >= 1")
     rng = np.random.default_rng(seed)
-    dims = [input_dim, *hidden_dims, feature_dim]
-    backbone = [_init_affine(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
-    old_head = _init_affine(feature_dim, c_l, rng)
-    new_head = _init_affine(feature_dim, c_u, rng)
-    return TwoHeadMLP(backbone, old_head, new_head)
+    return assemble(shapes, lambda a, b: _init_affine(a, b, rng))
 
 
 def parameter_count(
     input_dim: int, hidden_dims: list[int], feature_dim: int, c_l: int, c_u: int
 ) -> int:
     """Total parameter count for a model of the given geometry."""
-    dims = [input_dim, *hidden_dims, feature_dim]
-    n = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
-    return n + (feature_dim + 1) * c_l + (feature_dim + 1) * c_u
+    shapes = layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u)
+    return sum((a + 1) * b for a, b in shapes)
 
 
 def _check_batch(model: TwoHeadMLP, batch: np.ndarray) -> np.ndarray:

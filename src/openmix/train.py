@@ -9,6 +9,7 @@ from the master seed, so a (config, dataset) pair fully determines the run.
 
 from __future__ import annotations
 
+import typing
 import warnings
 from dataclasses import dataclass
 
@@ -236,29 +237,18 @@ def cluster_train(
     return reports
 
 
-METRICS_HEADER = "epoch,acc,nmi,loss_ppl,loss_pll,loss_opm,anchor_count,anchor_acc"
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# (name, declared type) of each metrics.csv column, in EpochReport's field order
+_COLUMNS = list(typing.get_type_hints(EpochReport).items())
+METRICS_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def write_metrics_csv(path: str, reports: list[EpochReport]) -> None:
-    """One row per epoch; floats use shortest round-trip formatting."""
+    """One row per epoch; ints use str, floats shortest round-trip repr (nan stays nan)."""
     lines = [METRICS_HEADER]
     for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    str(r.epoch),
-                    _fmt(r.acc),
-                    _fmt(r.nmi),
-                    _fmt(r.loss_ppl),
-                    _fmt(r.loss_pll),
-                    _fmt(r.loss_opm),
-                    str(r.anchor_count),
-                    _fmt(r.anchor_acc),
-                ]
-            )
+        cells = (
+            str(getattr(r, name)) if typ is int else repr(float(getattr(r, name)))
+            for name, typ in _COLUMNS
         )
+        lines.append(",".join(cells))
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -56,6 +56,23 @@ def test_truncated_header(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_header_cut_inside_hidden_widths(tmp_path):
+    path = tmp_path / "m.omx"
+    save_checkpoint(str(path), tiny_model(hidden=(4, 3)))
+    # magic, input_dim, n_hidden = 2, then only the first hidden width
+    path.write_bytes(path.read_bytes()[:16])
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_checkpoint(str(path))
+
+
+def test_huge_hidden_count_in_short_file(tmp_path):
+    path = tmp_path / "m.omx"
+    path.write_bytes(b"OMX1" + struct.pack("<4I", 3, 2**32 - 1, 4, 5))
+    assert len(path.read_bytes()) == 20
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_checkpoint(str(path))
+
+
 def test_truncated_payload(tmp_path):
     m = tiny_model()
     path = tmp_path / "m.omx"

@@ -178,7 +178,10 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "theta1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["feature_dim=1000000000000", "hidden_dims=100000000000"])
+@pytest.mark.parametrize(
+    "setting",
+    ["feature_dim=1000000000000", "hidden_dims=100000000000", "batch_mixed=1000000000000"],
+)
 def test_huge_model_width_exits_2(setting, tmp_path, capsys):
     rc = cli.main(["pretrain", "--config", str(write_config(tmp_path)), "--set", setting])
     assert rc == 2
@@ -193,6 +196,16 @@ def test_huge_spec_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "per_class" in err
+
+
+def test_wide_spec_exits_2(tmp_path, capsys):
+    # small enough for the split-size cap, too wide for the first layer
+    spec = tmp_path / "wide.spec"
+    spec.write_text("c_l = 1\nc_u = 2\nper_class = 1\ninput_dim = 1500000\n")
+    rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "input_dim must be <= 4096" in err
 
 
 def test_non_finite_override_exits_2(pipeline, capsys):
@@ -354,6 +367,22 @@ def test_huge_class_count_exits_4(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "class counts must be <= 4096" in err
+
+
+def test_wide_dataset_exits_4(tmp_path, capsys):
+    # every row is valid; the header's input_dim alone is beyond the cap
+    width = 4097
+    row = ",".join(["1.0"] * width)
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "dataset.csv").write_text(
+        f"omx-dataset,v1,{width},1,2\nL,0,{row}\nU,0,{row}\nU,1,{row}\n",
+        encoding="utf-8",
+    )
+    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "input_dim must be <= 4096" in err
 
 
 def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from openmix.config import (
+    MAX_BATCH_MIXED,
     MAX_WIDTH,
     ConfigError,
     RunConfig,
@@ -133,6 +134,8 @@ def test_validate_rejects(field, value):
         (RunConfig, "hidden_dims", [32, MAX_WIDTH + 1]),
         (SplitSpec, "per_class", 10**12),
         (SplitSpec, "per_class", MAX_SPLIT_VALUES // (10 * 16) + 1),
+        (RunConfig, "batch_mixed", MAX_BATCH_MIXED + 1),
+        (SplitSpec, "input_dim", MAX_WIDTH + 1),
     ],
 )
 def test_validate_rejects_non_finite_and_out_of_range(cls, field, value):

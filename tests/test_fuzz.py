@@ -18,7 +18,7 @@ import pytest
 import dataset_reference
 from openmix import data
 from openmix.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from openmix.config import ConfigError, RunConfig, load_run_config
+from openmix.config import MAX_WIDTH, ConfigError, RunConfig, load_run_config
 from openmix.data import (
     DataFormatError,
     generate_blobs,
@@ -130,6 +130,11 @@ HUGE_LINES = [
 ]
 
 
+# a header input_dim beyond the cap, with rows of that width: valid, then one short row
+WIDE_HEAD = f"omx-dataset,v1,{MAX_WIDTH + 1},2,3"
+WIDE_LINES = [row + ",0.5" * (MAX_WIDTH + 1) for row in ["L,1", "U,0", "U,2"]]
+
+
 def multi_fault_files():
     """Valid files and files with faults on two lines, in every order."""
     head = "omx-dataset,v1,2,2,3"
@@ -142,6 +147,8 @@ def multi_fault_files():
     yield [HUGE_HEAD, *GOOD_LINES]
     for line in HUGE_LINES:
         yield [HUGE_HEAD, *GOOD_LINES[:3], line, *GOOD_LINES[3:]]
+    yield [WIDE_HEAD, *WIDE_LINES]
+    yield [WIDE_HEAD, *WIDE_LINES, GOOD_LINES[0]]
 
 
 @pytest.mark.parametrize("chunk", [data.CHUNK_LINES, 2])
@@ -166,6 +173,9 @@ def test_loader_matches_per_line_reference(chunk, tmp_path, monkeypatch):
         elif isinstance(want, data.Dataset) and max(want.c_l, want.c_u) > data.MAX_CLASSES:
             # the reference has no class-count cap
             assert got[0] is DataFormatError and "class counts" in got[1], variant
+        elif isinstance(want, data.Dataset) and want.input_dim > MAX_WIDTH:
+            # nor a width cap
+            assert got[0] is DataFormatError and "input_dim must be" in got[1], variant
         else:
             assert got == want, variant
         loaded += isinstance(want, data.Dataset)

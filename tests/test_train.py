@@ -345,7 +345,10 @@ def test_write_metrics_csv_roundtrip(tmp_path):
     path = tmp_path / "metrics.csv"
     train.write_metrics_csv(str(path), reports)
     lines = path.read_text().splitlines()
+    # literals, so a renamed or reordered EpochReport field fails here
+    assert lines[0] == "epoch,acc,nmi,loss_ppl,loss_pll,loss_opm,anchor_count,anchor_acc"
     assert lines[0] == train.METRICS_HEADER
+    assert lines[1] == "1,0.5,0.25,0.1,0.2,0.0,0,nan"
     assert len(lines) == 3
     row = lines[2].split(",")
     assert int(row[0]) == 2
