@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import log_softmax, softmax, softmax_backward
+from .nn import log_softmax, shifted_exp, softmax, softmax_backward
 
 # similarities are clamped into [CLAMP, 1 - CLAMP] before any logarithm
 CLAMP = 1e-7
@@ -32,8 +32,8 @@ def similarity_matrix(p: np.ndarray) -> np.ndarray:
 def ppl_loss_value(s: np.ndarray, w: np.ndarray) -> float:
     """BCE over all ordered pairs (diagonal included), normalized by n^2.
 
-    Evaluates the loss alone from a similarity matrix; used by tests and by
-    clustering_losses below so the two can never drift apart.
+    Evaluates the loss alone, in the two-log form; tests check
+    clustering_losses' one-log route against it.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != w.shape:
@@ -76,13 +76,13 @@ def clustering_losses(
         raise ValueError("clustering losses need a batch of at least 1 logit row")
     p = softmax(z)
     s = similarity_matrix(p)
-    w = (s >= theta1).astype(np.float64)
+    w = s >= theta1
     n = s.shape[0]
-    ppl = ppl_loss_value(s, w)
-
+    # w is 0/1, so each pair needs one log: that of sc where w, else of 1-sc
     sc = np.clip(s, CLAMP, 1.0 - CLAMP)
-    g = -(w / sc - (1.0 - w) / (1.0 - sc)) / (n * n)
-    g = np.where((s > CLAMP) & (s < 1.0 - CLAMP), g, 0.0)
+    q = np.where(w, sc, 1.0 - sc)
+    ppl = float(-np.log(q).sum() / (n * n))
+    g = np.where((s > CLAMP) & (s < 1.0 - CLAMP), np.where(w, -1.0, 1.0) / q / (n * n), 0.0)
     # dS_ij/dp_i = p_j/(nu_i nu_j) - S_ij p_i/nu_i^2; accumulate both index
     # roles of each pair without assuming exact numeric symmetry of g
     nu = np.linalg.norm(p, axis=1)
@@ -103,7 +103,7 @@ def clustering_losses(
 
 
 def cross_entropy(z: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of logits against one-hot targets, with gradient."""
+    """Mean cross-entropy of logits against one-hot targets, with gradient, from one exp pass."""
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(onehot, dtype=np.float64)
     if z.shape != y.shape:
@@ -111,7 +111,7 @@ def cross_entropy(z: np.ndarray, onehot: np.ndarray) -> tuple[float, np.ndarray]
     n = z.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    logp = log_softmax(z)
-    loss = float(-(y * logp).sum() / n)
-    grad = (softmax(z) - y) / n
+    shifted, e, total = shifted_exp(z, "cross_entropy")
+    loss = float(-(y * (shifted - np.log(total))).sum() / n)
+    grad = (e / total - y) / n
     return loss, grad

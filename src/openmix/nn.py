@@ -13,31 +13,32 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def shifted_exp(logits: np.ndarray, name: str = "softmax") -> tuple[np.ndarray, ...]:
+    """(z - rowmax, its exp, its row sums): one pass for softmax, log_softmax or a loss."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.shape[-1] < 1:
+        raise ValueError(f"{name} needs at least one logit")
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{name} input must be finite")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stabilized softmax over the last axis.
 
     Accepts a vector or a batch of row vectors. Raises ValueError on
     non-finite input; the output always lies on the probability simplex.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape[-1] < 1:
-        raise ValueError("softmax needs at least one logit")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input must be finite")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    _, e, total = shifted_exp(logits)
+    return e / total
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log of softmax computed without forming small probabilities first."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape[-1] < 1:
-        raise ValueError("log_softmax needs at least one logit")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("log_softmax input must be finite")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted, _, total = shifted_exp(logits, "log_softmax")
+    return shifted - np.log(total)
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
@@ -183,33 +184,38 @@ def backward(
     model: TwoHeadMLP,
     batch: np.ndarray,
     acts: list[np.ndarray],
-    grad_z_l: np.ndarray,
-    grad_z_u: np.ndarray,
+    grad_z_l: np.ndarray | None,
+    grad_z_u: np.ndarray | None,
     freeze_backbone: bool = False,
 ) -> TwoHeadMLP:
     """Gradients of sum(grad_z_l * z_l) + sum(grad_z_u * z_u) w.r.t. all parameters.
 
     acts are the activations forward() returned for this batch. Returns a
     TwoHeadMLP-shaped container holding one gradient array per parameter.
+    A None upstream gradient marks a silent head: it gets zero gradients
+    and costs no matmul.
     With freeze_backbone the backbone part is skipped and its gradients are
     zeros; the head gradients are the same either way.
     """
     x = np.asarray(batch, dtype=np.float64)
-    g_l = np.asarray(grad_z_l, dtype=np.float64)
-    g_u = np.asarray(grad_z_u, dtype=np.float64)
     n = x.shape[0]
     if len(acts) != len(model.backbone) or acts[-1].shape != (n, model.feature_dim):
         raise ValueError("activations do not match the model and batch")
-    if g_l.shape != (n, model.c_l) or g_u.shape != (n, model.c_u):
-        raise ValueError("upstream gradient shapes do not match head outputs")
-
     feats = acts[-1]
-    d_old = Affine(feats.T @ g_l, g_l.sum(axis=0))
-    d_new = Affine(feats.T @ g_u, g_u.sum(axis=0))
-    if freeze_backbone:
+    d_heads, d_h = [], None
+    for head, g in ((model.old_head, grad_z_l), (model.new_head, grad_z_u)):
+        if g is None:  # silent: zero gradients and nothing sent back
+            d_heads.append(Affine(np.zeros_like(head.w), np.zeros_like(head.b)))
+            continue
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != (n, head.fan_out):
+            raise ValueError("upstream gradient shapes do not match head outputs")
+        d_heads.append(Affine(feats.T @ g, g.sum(axis=0)))
+        if not freeze_backbone:
+            d_h = g @ head.w.T if d_h is None else d_h + g @ head.w.T
+    if d_h is None:  # frozen, or both heads silent
         zeros = [Affine(np.zeros_like(a.w), np.zeros_like(a.b)) for a in model.backbone]
-        return TwoHeadMLP(zeros, d_old, d_new)
-    d_h = g_l @ model.old_head.w.T + g_u @ model.new_head.w.T
+        return TwoHeadMLP(zeros, *d_heads)
 
     d_backbone: list[Affine] = [None] * len(model.backbone)  # type: ignore[list-item]
     last = len(model.backbone) - 1
@@ -221,7 +227,7 @@ def backward(
         d_backbone[i] = Affine(h_prev.T @ d_h, d_h.sum(axis=0))
         if i > 0:  # the input needs no gradient
             d_h = d_h @ model.backbone[i].w.T
-    return TwoHeadMLP(d_backbone, d_old, d_new)
+    return TwoHeadMLP(d_backbone, *d_heads)
 
 
 def iter_params(model: TwoHeadMLP):

@@ -76,8 +76,8 @@ def _forward(model: nn.TwoHeadMLP, x: np.ndarray, component: str, epoch: int):
 def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float:
     """Stage 1: cross-entropy on old classes. Returns final training accuracy.
 
-    The new head receives exactly zero gradient, so its parameters and its
-    optimizer state stay untouched.
+    The new head is silent in backward: its gradient is exactly zero, so its
+    parameters and its optimizer state stay untouched.
     """
     if len(labeled) == 0:
         raise ValueError("labeled set is empty")
@@ -90,7 +90,7 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
             acts, z_l, _ = _forward(model, x, "labeled-batch", epoch)
             loss, g_l = losses.cross_entropy(z_l, onehot[idx])
             _check_finite(loss, "cross-entropy loss", epoch)
-            grads = nn.backward(model, x, acts, g_l, np.zeros((x.shape[0], model.c_u)))
+            grads = nn.backward(model, x, acts, g_l, None)
             opt.step(model, grads)
     _, z_l, _ = _forward(model, labeled.x, "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
@@ -123,8 +123,9 @@ def cluster_train(
     per step serves all three: the batch, the mixed batch and the mixed
     batch's unlabeled rows, stacked. The pool is forwarded once before the
     first epoch and once after each, for that epoch's evaluation and the
-    next epoch's anchors and their accuracy. Backbone gradients are zero
-    while epoch <= freeze_epochs.
+    next epoch's anchors and their accuracy. The old head is silent in the
+    unlabeled batch's backward, and backbone gradients are zero while
+    epoch <= freeze_epochs.
     """
     labeled, unlabeled, truth = dataset.labeled, dataset.unlabeled, dataset.truth
     if len(unlabeled) < 2:
@@ -192,10 +193,7 @@ def cluster_train(
             _check_finite(ppl, "pairwise similarity loss", epoch)
             _check_finite(pll, "pseudo-label loss", epoch)
             g_zu = g_ppl + cfg.lambda1 * g_pll
-            grads = nn.backward(
-                model, x, [a[:n] for a in acts], np.zeros((n, model.c_l)), g_zu,
-                freeze_backbone=frozen,
-            )
+            grads = nn.backward(model, x, [a[:n] for a in acts], None, g_zu, freeze_backbone=frozen)
 
             if mix_active:
                 rows = slice(n, n + cfg.batch_mixed)

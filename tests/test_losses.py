@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import train_reference
 from openmix import losses, nn
 from helpers import assert_grad_close, fd_grad, pll_reference
 
@@ -91,6 +92,29 @@ def test_ppl_loss_value_matches_grad_path():
     value_only = losses.ppl_loss_value(s, w)
     value = fused(z)[0]
     assert value == value_only
+
+
+def test_clustering_losses_match_two_log_reference():
+    # the one-log value and gradient equal the two-log forms bit for bit,
+    # over 1-row batches, duplicated rows and clamp-saturated peaked rows
+    rng = np.random.default_rng(11)
+    saturated = 0
+    for trial in range(200):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 10))
+        c = int(rng.integers(2, 7))
+        z = rng.normal(size=(n, c)) * [0.5, 2.0, 40.0][trial % 3]
+        if n > 2 and trial % 4 == 0:
+            z[1] = z[0]
+        theta1 = float(rng.uniform(0.3, 0.99))
+        theta2 = float(rng.uniform(0.55, 0.95))
+        got = losses.clustering_losses(z, theta1, theta2)
+        want = train_reference.clustering_losses(z, theta1, theta2)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[3].tobytes() == want[3].tobytes()
+        s = cosines(z)
+        saturated += int(((s < losses.CLAMP) | (s > 1.0 - losses.CLAMP)).sum() > n)
+    assert saturated >= 20  # off-diagonal clamping must be exercised
 
 
 def test_ppl_gradient_finite_difference():
@@ -223,6 +247,23 @@ def test_cross_entropy_frozen_and_gradient():
         assert_grad_close(grad, numeric)
     with pytest.raises(ValueError):
         losses.cross_entropy(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_cross_entropy_matches_two_pass_route():
+    rng = np.random.default_rng(12)
+    for scale in (1.0, 30.0, 1000.0):
+        for _ in range(10):
+            n, c = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            z = rng.normal(size=(n, c)) * scale
+            y = np.zeros((n, c))
+            y[np.arange(n), rng.integers(0, c, size=n)] = 1.0
+            loss, grad = losses.cross_entropy(z, y)
+            want_loss, want_grad = train_reference.cross_entropy(z, y)
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            losses.cross_entropy(np.array([[0.0, bad]]), np.array([[1.0, 0.0]]))
 
 
 def test_cross_entropy_large_logits_stable():

@@ -141,6 +141,33 @@ def test_backward_rejects_mismatched_upstream():
         nn.backward(m, x, nn.forward(m, np.zeros((3, 6)))[0], np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("hidden", [(), (32,)])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("silent", ["old", "new"])
+def test_backward_silent_head_equals_explicit_zeros(hidden, frozen, silent):
+    m = tiny_model(seed=8, hidden=hidden)
+    rng = np.random.default_rng(9)
+    x, gl, gu = rng.normal(size=(7, 6)), rng.normal(size=(7, 2)), rng.normal(size=(7, 3))
+    if silent == "old":
+        args, zero_args = (None, gu), (np.zeros_like(gl), gu)
+    else:
+        args, zero_args = (gl, None), (gl, np.zeros_like(gu))
+    acts = nn.forward(m, x)[0]
+    got = nn.backward(m, x, acts, *args, freeze_backbone=frozen)
+    want = nn.backward(m, x, acts, *zero_args, freeze_backbone=frozen)
+    assert model_params_flat(got).tobytes() == model_params_flat(want).tobytes()
+    quiet = got.old_head if silent == "old" else got.new_head
+    assert not quiet.w.any() and not quiet.b.any()
+
+
+def test_backward_both_heads_silent_is_all_zeros():
+    m = tiny_model()
+    x = np.ones((3, 6))
+    got = nn.backward(m, x, nn.forward(m, x)[0], None, None)
+    assert not model_params_flat(got).any()
+    assert model_params_flat(got).size == model_params_flat(m).size
+
+
 def test_iter_params_order():
     m = tiny_model()
     names = [name for name, _ in nn.iter_params(m)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import train_reference
 from openmix import nn
 from openmix.optim import RmspropState
 from helpers import model_params_flat, tiny_model
@@ -76,3 +77,52 @@ def test_validation():
         RmspropState(m, lr=0.1, rho=1.0, eps=1e-8)
     with pytest.raises(ValueError):
         RmspropState(m, lr=0.1, rho=-0.1, eps=1e-8)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning rate"):
+            RmspropState(m, lr=bad, rho=0.9, eps=1e-8)
+    # eps=0 would turn a zero-gradient parameter into 0/0 = nan
+    for bad in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            RmspropState(m, lr=0.1, rho=0.9, eps=bad)
+
+
+def test_step_rejects_a_model_of_another_geometry():
+    m = tiny_model()
+    opt = RmspropState(m, lr=0.1, rho=0.9, eps=1e-8)
+    # a new head of another width after construction: the flat state no longer fits
+    m.new_head = nn._init_affine(m.feature_dim, m.c_u + 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="optimizer state"):
+        opt.step(m, nn.zeros_like_model(m))
+    with pytest.raises(ValueError, match="gradient shape"):
+        opt.step(tiny_model(), nn.zeros_like_model(m))
+
+
+def test_square_avg_views_alias_the_flat_state():
+    m = tiny_model(hidden=(4, 7))
+    opt = RmspropState(m, lr=0.1, rho=0.9, eps=1e-8)
+    views = [v for _, v in nn.iter_params(opt.square_avg)]
+    assert [v.shape for v in views] == [p.shape for _, p in nn.iter_params(m)]
+    assert sum(v.size for v in views) == opt.flat.size
+    for v in views:
+        assert np.shares_memory(v, opt.flat)
+    opt.flat[...] = np.arange(opt.flat.size)
+    np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]), opt.flat)
+
+
+@pytest.mark.parametrize("hidden", [(), (4,), (4, 7)])
+def test_flat_steps_match_per_parameter_reference(hidden):
+    # bit for bit over several steps, on gradients of mixed scale with zeros
+    m = tiny_model(seed=5, hidden=hidden)
+    ref = tiny_model(seed=5, hidden=hidden)
+    opt = RmspropState(m, lr=0.05, rho=0.9, eps=1e-8)
+    ref_opt = train_reference.RmspropState(ref, lr=0.05, rho=0.9, eps=1e-8)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        g = nn.zeros_like_model(m)
+        for _, a in nn.iter_params(g):
+            a[...] = rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 4, size=a.shape)
+            a[rng.random(a.shape) < 0.2] = 0.0
+        opt.step(m, g)
+        ref_opt.step(ref, g)
+    assert model_params_flat(m).tobytes() == model_params_flat(ref).tobytes()
+    assert model_params_flat(opt.square_avg).tobytes() == model_params_flat(ref_opt.square_avg).tobytes()

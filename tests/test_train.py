@@ -97,6 +97,20 @@ def test_pretrain_leaves_new_head_untouched():
     assert np.array_equal(model.new_head.b, before_b)
 
 
+@pytest.mark.parametrize("hidden_dims", [[], [32]])
+def test_pretrain_matches_reference(hidden_dims):
+    # default data and schedule; the reference runs the per-parameter RMSprop,
+    # the two-pass cross-entropy and a backward fed explicit new-head zeros
+    ds = data.generate_blobs(data.SplitSpec(seed=1))
+    cfg = config.RunConfig(seed=1, hidden_dims=hidden_dims).validate()
+    model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
+    ref_model = copy.deepcopy(model)
+    acc = train.pretrain(model, ds.labeled, cfg)
+    want = train_reference.pretrain(ref_model, ds.labeled, cfg)
+    assert model_params_flat(model).tobytes() == model_params_flat(ref_model).tobytes()
+    assert acc == want
+
+
 def test_pretrain_empty_labeled_set():
     cfg = tiny_config()
     model = train.build_model(cfg, 6, 2, 3)

@@ -1,8 +1,8 @@
-"""The three-forward clustering loop: the reference the stacked trainer must equal.
+"""Plain pretrain and three-forward clustering loops: the references the trainer must equal.
 
-This is the step-by-step route of train.cluster_train. Each step forwards
-the unlabeled batch, the mixed batch and the mixed batch's unlabeled rows
-separately; the pool is forwarded at the start of every epoch for the
+cluster_train here is the step-by-step route of train.cluster_train. Each
+step forwards the unlabeled batch, the mixed batch and the mixed batch's
+unlabeled rows separately; the pool is forwarded at the start of every epoch for the
 anchors and again at its end for the evaluation; backward always computes
 the backbone gradients and a frozen backbone masks them to zero afterwards.
 Anchor accuracy takes its own route: at each epoch start, _anchor_stats
@@ -11,10 +11,15 @@ anchors' captured labels, where the trainer reuses its evaluation's mask.
 The network and mixed-batch code it runs is kept here as well (the plain
 forward with its fresh bias and ReLU temporaries, the backward that also
 computes the input gradient, and the builder that asks a callable for the
-predictions), so the oracle shares with openmix only the losses, the
-anchors, the label checks, the mix-weight draw, the metrics and the
-optimizer. train.cluster_train must reproduce its parameters and reports
-bit for bit at the default geometry.
+predictions). So is the arithmetic of a step in its plain form: the
+per-parameter RMSprop, the two-pass cross-entropy (log_softmax and softmax
+apart), the two-log pairwise BCE with its own clip for the gradient, and
+backward calls that pass explicit zero arrays for a head with no loss;
+pretrain here is train.pretrain's loop in that form. The
+oracle shares with openmix only the softmax, cosine and pseudo-label
+primitives, the anchors, the label checks, the mix-weight draw, the OPM
+loss and the metrics. train.cluster_train and train.pretrain must reproduce
+its parameters, reports and accuracy bit for bit at the default geometry.
 """
 
 import warnings
@@ -24,16 +29,67 @@ import numpy as np
 from openmix import losses, metrics, mixing, nn
 from openmix.data import HiddenTruth, batch_iter
 from openmix.mixing import _check_one_hot, _check_simplex, sample_mix_weight
-from openmix.nn import Affine, TwoHeadMLP, _check_batch
-from openmix.optim import RmspropState
+from openmix.nn import Affine, TwoHeadMLP, _check_batch, iter_params, zeros_like_model
 from openmix.train import (
     TAG_MIX,
+    TAG_STAGE1,
     TAG_STAGE2,
     DivergenceError,
     EpochReport,
     _check_finite,
     stream_seed,
 )
+
+
+class RmspropState:
+    """One v array per parameter, updated parameter by parameter."""
+
+    def __init__(self, model, lr, rho, eps):
+        self.lr, self.rho, self.eps = lr, rho, eps
+        self.square_avg = zeros_like_model(model)
+
+    def step(self, params, grads):
+        for (_, p), (_, g), (_, v) in zip(
+            iter_params(params), iter_params(grads), iter_params(self.square_avg)
+        ):
+            if p.shape != g.shape:
+                raise ValueError("gradient shape does not match parameter shape")
+            v *= self.rho
+            v += (1.0 - self.rho) * g * g
+            p -= self.lr * g / (np.sqrt(v) + self.eps)
+
+
+def cross_entropy(z, onehot):
+    n = z.shape[0]
+    loss = float(-(onehot * nn.log_softmax(z)).sum() / n)
+    return loss, (nn.softmax(z) - onehot) / n
+
+
+def clustering_losses(z, theta1, theta2):
+    p = nn.softmax(z)
+    s = losses.similarity_matrix(p)
+    w = (s >= theta1).astype(np.float64)
+    n = s.shape[0]
+    ppl = losses.ppl_loss_value(s, w)
+
+    sc = np.clip(s, losses.CLAMP, 1.0 - losses.CLAMP)
+    g = -(w / sc - (1.0 - w) / (1.0 - sc)) / (n * n)
+    g = np.where((s > losses.CLAMP) & (s < 1.0 - losses.CLAMP), g, 0.0)
+    nu = np.linalg.norm(p, axis=1)
+    h = g + g.T
+    term1 = (h / np.outer(nu, nu)) @ p
+    a = g * s
+    term2 = ((a + a.T).sum(axis=1) / (nu * nu))[:, None] * p
+    g_ppl = nn.softmax_backward(p, term1 - term2)
+
+    labels, assigned = losses.pseudo_labels(p, theta2)
+    n_hat = int(assigned.sum())
+    pll, g_pll = 0.0, np.zeros_like(z)
+    if n_hat:
+        logp = nn.log_softmax(z)
+        pll = float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
+        g_pll[assigned] = (p[assigned] - labels[assigned]) / n_hat
+    return ppl, g_ppl, pll, g_pll
 
 
 def forward(model, batch):
@@ -142,6 +198,22 @@ def _forward(model, x, component, epoch):
     return acts, z_l, z_u
 
 
+def pretrain(model, labeled, cfg):
+    opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
+    onehot = labeled.one_hot()
+    seed = stream_seed(cfg.seed, TAG_STAGE1)
+    for epoch in range(1, cfg.pretrain_epochs + 1):
+        for idx in batch_iter(labeled, cfg.batch_labeled, seed, epoch):
+            x = labeled.x[idx]
+            acts, z_l, _ = _forward(model, x, "labeled-batch", epoch)
+            loss, g_l = cross_entropy(z_l, onehot[idx])
+            _check_finite(loss, "cross-entropy loss", epoch)
+            grads = backward(model, x, acts, g_l, np.zeros((x.shape[0], model.c_u)))
+            opt.step(model, grads)
+    _, z_l, _ = _forward(model, labeled.x, "labeled-set", cfg.pretrain_epochs)
+    return float((z_l.argmax(axis=1) == labeled.y).mean())
+
+
 def evaluate(model, unlabeled, truth):
     _, _, z_u = forward(model, unlabeled.x)
     pred = z_u.argmax(axis=1)
@@ -219,7 +291,7 @@ def cluster_train(model, dataset, cfg):
         for idx in batch_iter(unlabeled, cfg.batch_unlabeled, batch_seed, epoch):
             x = unlabeled.x[idx]
             acts, _, z_u = _forward(model, x, "unlabeled-batch", epoch)
-            ppl, g_ppl, pll, g_pll = losses.clustering_losses(z_u, cfg.theta1, cfg.theta2)
+            ppl, g_ppl, pll, g_pll = clustering_losses(z_u, cfg.theta1, cfg.theta2)
             _check_finite(ppl, "pairwise similarity loss", epoch)
             _check_finite(pll, "pseudo-label loss", epoch)
             g_zu = g_ppl + cfg.lambda1 * g_pll
