@@ -1,15 +1,19 @@
 """Print the sha256 of checkpoint + metrics bytes for a fixed set of runs.
 
 Each configuration runs build_model -> pretrain -> attach_new_head ->
-cluster_train on SplitSpec(seed=seed), then writes the checkpoint and the
-metrics CSV. The printed digest covers the checkpoint bytes followed by
-the CSV bytes. A change meant to keep runs byte-identical is checked by
-running this at the parent commit and at the change, then diffing:
+cluster_train on SplitSpec(seed=seed) with the case's "split" fields, then
+writes the checkpoint and the metrics CSV. The printed digest covers the
+checkpoint bytes followed by the CSV bytes. A change meant to keep runs
+byte-identical is checked by running this at the parent commit and at the
+change, then diffing:
 
     PYTHONPATH=src python3 experiments/run_hashes.py > hashes.txt
 
+A parent commit whose copy of this script lacks a case is checked by
+running this copy with PYTHONPATH pointing at the parent's src/.
+
 BLAS threading is pinned to one thread before numpy loads, because a
-multi-threaded BLAS may sum in a different order from run to run. All 14
+multi-threaded BLAS may sum in a different order from run to run. All 15
 runs take about 30 s on a 2-core Xeon.
 """
 
@@ -30,7 +34,8 @@ from openmix.config import RunConfig  # noqa: E402
 
 SHORT = dict(pretrain_epochs=30, cluster_epochs=12)
 
-# name -> (split seed, RunConfig fields). The run seed equals the split seed.
+# name -> (split seed, RunConfig fields, plus SplitSpec fields under "split").
+# The run seed equals the split seed.
 CONFIGS = {
     "full seed 0": (0, {}),
     "full seed 3": (3, {}),
@@ -52,11 +57,14 @@ CONFIGS = {
     "short theta1=0.8, theta2=0.7, lambda1=0.5": (
         0, dict(SHORT, theta1=0.8, theta2=0.7, lambda1=0.5)
     ),
+    # 426 = 5 * 85 + 1 pool rows: nn.logits' 85-row blocks leave a 1-row tail
+    "short c_u=6, per_class=71": (0, dict(SHORT, split=dict(c_u=6, per_class=71))),
 }
 
 
 def run_digest(seed: int, fields: dict, workdir: str) -> str:
-    ds = data.generate_blobs(data.SplitSpec(seed=seed))
+    fields = dict(fields)
+    ds = data.generate_blobs(data.SplitSpec(seed=seed, **fields.pop("split", {})))
     cfg = RunConfig(seed=seed, **fields).validate()
     model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
     train.pretrain(model, ds.labeled, cfg)

@@ -2,7 +2,8 @@
 
 Runs one pretrain step and one mixed clustering step phase by phase, in
 the order and with the calls that train.pretrain and train.cluster_train
-make, and prints the median microseconds of each phase over the repeats:
+make, and prints the median microseconds of each phase over the repeats.
+Last comes the end-of-epoch scoring of the whole unlabeled pool:
 
     PYTHONPATH=src python3 experiments/step_phases.py [--repeats 400] [--seed 0]
 
@@ -69,7 +70,7 @@ def pretrain_steps(model, labeled, cfg: RunConfig, repeats: int) -> Clock:
         x = labeled.x[idx]
         y = onehot[idx]
         clock.lap("gather")
-        acts, z_l, _ = train._forward(model, x, "labeled-batch", 1)
+        acts, z_l, _ = train.finite_logits(nn.forward(model, x), "labeled-batch", 1)
         clock.lap("forward")
         loss, g_l = losses.cross_entropy(z_l, y)
         train._check_finite(loss, "cross-entropy loss", 1)
@@ -85,7 +86,7 @@ def cluster_steps(model, ds: data.Dataset, cfg: RunConfig, repeats: int) -> Cloc
     labeled, unlabeled = ds.labeled, ds.unlabeled
     opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
     onehot = labeled.one_hot()
-    _, _, z_u_pool = nn.forward(model, unlabeled.x)
+    _, z_u_pool = train.finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", 1)
     anchors = mixing.select_anchors(z_u_pool, cfg.theta2)
     use_anchors = len(anchors) > 0
     mix_rng = np.random.default_rng([cfg.seed, 1])
@@ -104,7 +105,7 @@ def cluster_steps(model, ds: data.Dataset, cfg: RunConfig, repeats: int) -> Cloc
         )
         stacked = np.concatenate([x, mixed.m, unlabeled.x[mixed.unl_rows]])
         clock.lap("mixed-batch build")
-        acts, z_l, z_u = train._forward(model, stacked, "unlabeled-batch", 1)
+        acts, z_l, z_u = train.finite_logits(nn.forward(model, stacked), "unlabeled-batch", 1)
         clock.lap("forward (stacked)")
         ppl, g_ppl, pll, g_pll = losses.clustering_losses(z_u[:n], cfg.theta1, cfg.theta2)
         train._check_finite(ppl, "pairwise similarity loss", 1)
@@ -129,14 +130,24 @@ def cluster_steps(model, ds: data.Dataset, cfg: RunConfig, repeats: int) -> Cloc
     return clock
 
 
+def pool_scoring(model, unlabeled, repeats: int) -> Clock:
+    clock = Clock()
+    for _ in range(repeats):
+        clock.start()
+        train.finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", 1)
+        clock.lap(f"pool scoring ({len(unlabeled)} rows)")
+    return clock
+
+
 def report(title: str, clock: Clock) -> None:
     laps = {name: ns[WARMUP:] for name, ns in clock.laps.items()}
     steps = len(next(iter(laps.values())))
     print(f"{title}: median us per phase over {steps} steps")
     for name, ns in laps.items():
         print(f"  {name:<26}{statistics.median(ns) / 1e3:9.1f}")
-    totals = [sum(step) for step in zip(*laps.values())]
-    print(f"  {'whole step':<26}{statistics.median(totals) / 1e3:9.1f}")
+    if len(laps) > 1:
+        totals = [sum(step) for step in zip(*laps.values())]
+        print(f"  {'whole step':<26}{statistics.median(totals) / 1e3:9.1f}")
 
 
 def main() -> None:
@@ -159,6 +170,7 @@ def main() -> None:
         warnings.simplefilter("ignore", UserWarning)
         train.cluster_train(model, ds, warm)
     report("mixed clustering step", cluster_steps(model, ds, cfg, args.repeats))
+    report("pool scoring", pool_scoring(model, ds.unlabeled, args.repeats))
 
 
 if __name__ == "__main__":

@@ -95,7 +95,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ds = _load_data(args.data)
     _check_geometry(model, ds, expect_c_u=True)
-    _, _, z_u = nn.forward(model, ds.unlabeled.x)
+    _, z_u = train.finite_logits(nn.logits(model, ds.unlabeled.x), "unlabeled-pool")
     acc, nmi, _ = train.evaluate(z_u.argmax(axis=1), ds.truth, ds.c_u)
     print(f"ACC {acc:.6f}")
     print(f"NMI {nmi:.6f}")

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import log_softmax, shifted_exp, softmax, softmax_backward
+from .nn import shifted_exp, softmax_backward
 
 # similarities are clamped into [CLAMP, 1 - CLAMP] before any logarithm
 CLAMP = 1e-7
 
 
-def similarity_matrix(p: np.ndarray) -> np.ndarray:
+def similarity_matrix(p: np.ndarray, outer: np.ndarray | None = None) -> np.ndarray:
     """Cosine similarities between the rows of a batch of probability vectors.
 
     Returns the raw matrix (diagonal exactly 1, entries in [0, 1]); clamping
-    happens inside the loss, not here.
+    happens inside the loss, not here. outer, if given, is np.outer of the row norms.
     """
-    nu = np.linalg.norm(p, axis=1)
-    s = (p @ p.T) / np.outer(nu, nu)
+    if outer is None:
+        nu = np.linalg.norm(p, axis=1)
+        outer = np.outer(nu, nu)
+    s = (p @ p.T) / outer
     np.fill_diagonal(s, 1.0)
     return s
 
@@ -74,8 +76,11 @@ def clustering_losses(
     z = np.asarray(z_u, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
         raise ValueError("clustering losses need a batch of at least 1 logit row")
-    p = softmax(z)
-    s = similarity_matrix(p)
+    shifted, e, total = shifted_exp(z)
+    p = e / total
+    nu = np.linalg.norm(p, axis=1)
+    outer = np.outer(nu, nu)
+    s = similarity_matrix(p, outer)
     w = s >= theta1
     n = s.shape[0]
     # w is 0/1, so each pair needs one log: that of sc where w, else of 1-sc
@@ -85,9 +90,8 @@ def clustering_losses(
     g = np.where((s > CLAMP) & (s < 1.0 - CLAMP), np.where(w, -1.0, 1.0) / q / (n * n), 0.0)
     # dS_ij/dp_i = p_j/(nu_i nu_j) - S_ij p_i/nu_i^2; accumulate both index
     # roles of each pair without assuming exact numeric symmetry of g
-    nu = np.linalg.norm(p, axis=1)
     h = g + g.T
-    term1 = (h / np.outer(nu, nu)) @ p
+    term1 = (h / outer) @ p
     a = g * s
     term2 = ((a + a.T).sum(axis=1) / (nu * nu))[:, None] * p
     g_ppl = softmax_backward(p, term1 - term2)
@@ -96,8 +100,8 @@ def clustering_losses(
     n_hat = int(assigned.sum())
     pll, g_pll = 0.0, np.zeros_like(z)
     if n_hat:
-        logp = log_softmax(z)
-        pll = float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
+        logp = shifted[assigned] - np.log(total[assigned])
+        pll = float(-(labels[assigned] * logp).sum() / n_hat)
         g_pll[assigned] = (p[assigned] - labels[assigned]) / n_hat
     return ppl, g_ppl, pll, g_pll
 

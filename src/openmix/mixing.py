@@ -38,22 +38,26 @@ def sample_mix_weight(
 
 
 def _check_one_hot(y: np.ndarray) -> None:
-    if np.any(np.count_nonzero(y, axis=1) != 1) or np.any((y == 1.0).sum(axis=1) != 1):
+    # every row holds a 1.0, and there are no more nonzeros than rows
+    if not np.count_nonzero(y) == y.shape[0] == np.count_nonzero((y == 1.0).any(axis=1)):
         raise ValueError("labeled rows must be exactly one-hot")
 
 
 def _check_simplex(p: np.ndarray, what: str) -> None:
-    # written as "not ok" so that NaN fails too
-    if not (p.min() >= 0.0 and np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9):
+    # written as "not ok" so that NaN fails too; an empty batch passes
+    if not (p.min(initial=0.0) >= 0.0 and np.abs(p.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9):
         raise ValueError(f"{what} must be nonnegative and sum to 1")
 
 
 @dataclass
 class AnchorSet:
-    """Unlabeled rows whose max softmax cleared theta2, with their labels."""
+    """Unlabeled rows whose max softmax cleared theta2, with labels checked at construction."""
 
     indices: np.ndarray  # (K,) int64 row indices into the unlabeled pool
     labels: np.ndarray  # (K, c_u) one-hot (or soft) labels captured at selection
+
+    def __post_init__(self) -> None:
+        _check_simplex(self.labels, "anchor labels")
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -110,8 +114,8 @@ def build_mixed_batch(
     (only when both are active), the labeled rows, the anchor rows, the
     unlabeled rows, then the B mixing weights.
 
-    Raises ValueError when a drawn labeled row is not exactly one-hot, or a
-    drawn anchor label is not a distribution.
+    Raises ValueError when a drawn labeled row is not exactly one-hot; the
+    anchor labels were checked when the AnchorSet was built.
     """
     if size < 1:
         raise ValueError("batch size must be >= 1")
@@ -143,7 +147,6 @@ def build_mixed_batch(
         partner_x[from_labeled] = labeled_x[lab_rows]
     if size - n_lab:
         anc_labels = anchors.labels[anc_rows]
-        _check_simplex(anc_labels, "anchor labels")
         partner_x[from_anchor] = unlabeled_x[anchors.indices[anc_rows]]
 
     w = eta_star[:, None]

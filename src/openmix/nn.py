@@ -163,7 +163,10 @@ def forward(
     The activations are the backbone's outputs, one per layer, the last
     being the feature; backward() takes them so it need not recompute them.
     """
-    h = _check_batch(model, batch)
+    return _rows_forward(model, _check_batch(model, batch))
+
+
+def _rows_forward(model: TwoHeadMLP, h: np.ndarray):
     acts = []
     last = len(model.backbone) - 1
     for i, layer in enumerate(model.backbone):
@@ -178,6 +181,25 @@ def forward(
     z_u = acts[-1] @ model.new_head.w
     z_u += model.new_head.b
     return acts, z_l, z_u
+
+
+_BLOCK_BYTES = 256 * 1024  # logits(): the widest activation of one row block
+
+
+def logits(model: TwoHeadMLP, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """forward()'s two logit arrays, computed in row blocks, keeping no activations.
+
+    A 1-row tail joins the block before it: a 1-row product takes another
+    BLAS kernel. Bit-equal to forward() at the default geometry (README).
+    """
+    x = _check_batch(model, batch)
+    n = x.shape[0]
+    height = max(2, _BLOCK_BYTES // (8 * max(a.fan_out for a in model.backbone)))
+    ends = [*range(height, n - 1, height), n]  # no cut leaves a 1-row tail
+    z_l, z_u = np.empty((n, model.c_l)), np.empty((n, model.c_u))
+    for a, b in zip([0, *ends], ends):
+        _, z_l[a:b], z_u[a:b] = _rows_forward(model, x[a:b])
+    return z_l, z_u
 
 
 def backward(
@@ -253,4 +275,4 @@ def zeros_like_model(model: TwoHeadMLP) -> TwoHeadMLP:
 def add_scaled_(dst: TwoHeadMLP, src: TwoHeadMLP, scale: float = 1.0) -> None:
     """In-place dst += scale * src over all parameter arrays."""
     for (_, d), (_, s) in zip(iter_params(dst), iter_params(src)):
-        d += scale * s
+        d += s if scale == 1.0 else scale * s

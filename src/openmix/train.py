@@ -65,12 +65,12 @@ def _check_finite(value: float, component: str, epoch: int) -> None:
         raise DivergenceError(f"{component} became non-finite at epoch {epoch}")
 
 
-def _forward(model: nn.TwoHeadMLP, x: np.ndarray, component: str, epoch: int):
-    """nn.forward, raising DivergenceError when either head's logits are non-finite."""
-    acts, z_l, z_u = nn.forward(model, x)
-    if not (np.isfinite(z_l).all() and np.isfinite(z_u).all()):
-        raise DivergenceError(f"{component} logits became non-finite at epoch {epoch}")
-    return acts, z_l, z_u
+def finite_logits(out: tuple, component: str, epoch: int | None = None) -> tuple:
+    """out, an nn.forward or nn.logits result, or DivergenceError if a logit is non-finite."""
+    if not (np.isfinite(out[-2]).all() and np.isfinite(out[-1]).all()):
+        at = "" if epoch is None else f" at epoch {epoch}"
+        raise DivergenceError(f"{component} logits became non-finite{at}")
+    return out
 
 
 def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float:
@@ -87,12 +87,12 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for idx in batch_iter(labeled, cfg.batch_labeled, seed, epoch):
             x = labeled.x[idx]
-            acts, z_l, _ = _forward(model, x, "labeled-batch", epoch)
+            acts, z_l, _ = finite_logits(nn.forward(model, x), "labeled-batch", epoch)
             loss, g_l = losses.cross_entropy(z_l, onehot[idx])
             _check_finite(loss, "cross-entropy loss", epoch)
             grads = nn.backward(model, x, acts, g_l, None)
             opt.step(model, grads)
-    _, z_l, _ = _forward(model, labeled.x, "labeled-set", cfg.pretrain_epochs)
+    z_l, _ = finite_logits(nn.logits(model, labeled.x), "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
 
 
@@ -121,10 +121,10 @@ def cluster_train(
     mixing is injected, the mixing loss on one freshly built mixed batch; a
     single optimizer step applies the combined gradient. One forward pass
     per step serves all three: the batch, the mixed batch and the mixed
-    batch's unlabeled rows, stacked. The pool is forwarded once before the
-    first epoch and once after each, for that epoch's evaluation and the
-    next epoch's anchors and their accuracy. The old head is silent in the
-    unlabeled batch's backward, and backbone gradients are zero while
+    batch's unlabeled rows, stacked. The pool is scored by nn.logits once
+    before the first epoch and once after each, for that epoch's evaluation
+    and the next epoch's anchors and their accuracy. The old head is silent
+    in the unlabeled batch's backward, and backbone gradients are zero while
     epoch <= freeze_epochs.
     """
     labeled, unlabeled, truth = dataset.labeled, dataset.unlabeled, dataset.truth
@@ -138,7 +138,7 @@ def cluster_train(
 
     reports: list[EpochReport] = []
     warned_no_anchors = False
-    _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", 1)
+    _, z_u_pool = finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", 1)
     pool_hits = metrics.best_map_hits(
         z_u_pool.argmax(axis=1), truth.labels_for_eval(), unlabeled.num_classes
     )
@@ -185,7 +185,7 @@ def cluster_train(
                 stacked = np.concatenate([x, mixed.m, unlabeled.x[mixed.unl_rows]])
             else:
                 stacked = x
-            acts, z_l, z_u = _forward(model, stacked, "unlabeled-batch", epoch)
+            acts, z_l, z_u = finite_logits(nn.forward(model, stacked), "unlabeled-batch", epoch)
 
             ppl, g_ppl, pll, g_pll = losses.clustering_losses(
                 z_u[:n], cfg.theta1, cfg.theta2
@@ -216,7 +216,7 @@ def cluster_train(
             pll_sum += pll
             n_batches += 1
 
-        _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", epoch)
+        _, z_u_pool = finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", epoch)
         epoch_acc, epoch_nmi, pool_hits = evaluate(
             z_u_pool.argmax(axis=1), truth, unlabeled.num_classes
         )

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from openmix import cli, train
-from openmix.checkpoint import load_checkpoint
+from openmix.checkpoint import load_checkpoint, save_checkpoint
 from openmix.data import load_dataset
 
 SPEC_TEXT = """\
@@ -394,6 +394,21 @@ def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "non-finite parameter" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_overflowing_logits_exit_3(pipeline, tmp_path, capsys):
+    # finite weights whose logits overflow: eval must not score them
+    model = load_checkpoint(str(pipeline.root / "out" / "model.omx"))
+    for layer in (*model.backbone, model.new_head):
+        layer.w *= 1e200
+    big = tmp_path / "big.omx"
+    save_checkpoint(str(big), model)
+    rc = cli.main(["eval", "--checkpoint", str(big), "--data", str(pipeline.root / "data")])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("divergence: unlabeled-pool logits became non-finite")
 
 
 @pytest.mark.parametrize(

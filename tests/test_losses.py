@@ -36,6 +36,8 @@ def test_similarity_matrix_against_scalar_cosine():
             assert abs(s[i, j] - want) < 1e-12
     assert np.array_equal(np.diag(s), np.ones(6))
     assert np.all(s >= 0) and np.all(s <= 1 + 1e-12)
+    nu = np.linalg.norm(p, axis=1)  # the row norms' outer product, when given, is used as is
+    assert losses.similarity_matrix(p, np.outer(nu, nu)).tobytes() == s.tobytes()
 
 
 def test_clustering_losses_one_row():
@@ -206,10 +208,10 @@ def test_pll_gradient_finite_difference():
 
 
 def test_clustering_losses_one_softmax_per_batch(monkeypatch):
-    # one softmax, one cosine matrix and one log_softmax serve both losses
+    # one exp pass (softmax and log-softmax) and one cosine matrix serve both losses
     z = np.log(np.array([[0.91, 0.05, 0.04], [0.4, 0.35, 0.25], [0.04, 0.92, 0.04]]))
     want = fused(z)
-    calls = {"softmax": 0, "similarity_matrix": 0, "log_softmax": 0}
+    calls = {"shifted_exp": 0, "similarity_matrix": 0}
 
     def counting(name):
         inner = getattr(losses, name)
@@ -223,11 +225,11 @@ def test_clustering_losses_one_softmax_per_batch(monkeypatch):
     for name in calls:
         monkeypatch.setattr(losses, name, counting(name))
     got = fused(z)
-    assert calls == {"softmax": 1, "similarity_matrix": 1, "log_softmax": 1}
+    assert calls == {"shifted_exp": 1, "similarity_matrix": 1}
     assert got[0] == want[0] and got[2] == want[2]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3])
-    fused(np.zeros((4, 3)))  # nothing assigned: the PLL value needs no log_softmax
-    assert calls == {"softmax": 2, "similarity_matrix": 2, "log_softmax": 1}
+    fused(np.zeros((4, 3)))  # nothing assigned
+    assert calls == {"shifted_exp": 2, "similarity_matrix": 2}
 
 
 def test_cross_entropy_frozen_and_gradient():

@@ -234,6 +234,34 @@ def test_build_mixed_batch_matches_per_row_reference(case):
     assert rng.random() == ref_rng.random()
 
 
+def test_batch_label_checks_agree_with_per_row_reference():
+    # a batch passes exactly when every row passes the row-at-a-time check
+    one_hot_rows = [[1.0, 0.0, 0.0], [0.0, -0.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.5, 0.0],
+                    [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                    [1.0, -1e-300, 0.0], [1.0, 0.0, -1.0]]
+    # the per-row reference lets NaN through; the batch check's NaN case is
+    # in test_extend_unlabeled_layout
+    simplex_rows = [[0.25, 0.75, 0.0], [0.5, 0.6, 0.0], [-0.1, 1.1, 0.0], [1.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0]]
+    for rows, batch_check, row_check in (
+        (one_hot_rows, mixing._check_one_hot, mixing_reference._check_one_hot),
+        (simplex_rows, lambda y: mixing._check_simplex(y, "labels"),
+         mixing_reference._check_simplex),
+    ):
+        def passes(check, y):
+            try:
+                check(y)
+            except ValueError:
+                return False
+            return True
+
+        for a in rows:
+            for b in rows:
+                want = passes(row_check, np.array(a)) and passes(row_check, np.array(b))
+                assert passes(batch_check, np.array([a, b])) == want, (a, b)
+        assert passes(batch_check, np.zeros((0, 3)))
+
+
 def test_build_mixed_batch_rejections():
     x = np.zeros((2, 3))
     onehot = np.eye(2)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from openmix import nn
+from openmix.config import RunConfig
+from openmix.data import SplitSpec
 from helpers import assert_grad_close, fd_grad, model_params_flat, tiny_model
 
 # scalar-math oracle for softmax([1, 2, 3])
@@ -103,10 +105,64 @@ def test_forward_relu_between_backbone_layers_only():
 
 def test_forward_rejects_bad_batches():
     m = tiny_model()
-    with pytest.raises(ValueError):
-        nn.forward(m, np.zeros((2, 5)))
-    with pytest.raises(ValueError):
-        nn.forward(m, np.array([[np.inf] * 6, [0.0] * 6]))
+    for run in (nn.forward, nn.logits):
+        with pytest.raises(ValueError):
+            run(m, np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            run(m, np.array([[np.inf] * 6, [0.0] * 6]))
+
+
+def default_model(hidden):
+    spec, cfg = SplitSpec(), RunConfig()
+    return nn.init_model(spec.input_dim, hidden, cfg.feature_dim, spec.c_l, spec.c_u, seed=1)
+
+
+def block_height(model):
+    return nn._BLOCK_BYTES // (8 * max(a.fan_out for a in model.backbone))
+
+
+@pytest.mark.parametrize("hidden", [[], [32]])
+def test_logits_bytes_equal_forward_at_default_geometry(hidden):
+    m = default_model(hidden)
+    h = block_height(m)
+    rng = np.random.default_rng(2)
+    for n in (1, 2, h - 1, h, h + 1, 2 * h + 1, 1000):
+        x = rng.normal(size=(n, m.input_dim)) * 3
+        _, z_l, z_u = nn.forward(m, x)
+        got_l, got_u = nn.logits(m, x)
+        assert got_l.tobytes() == z_l.tobytes(), n
+        assert got_u.tobytes() == z_u.tobytes(), n
+
+
+def test_logits_blocks_never_hold_one_row(monkeypatch):
+    m = default_model([])
+    h = block_height(m)
+    assert h >= 2 and h * 8 * m.feature_dim <= nn._BLOCK_BYTES
+    sizes = []
+    inner = nn._rows_forward
+
+    def recording(model, x):
+        sizes.append(x.shape[0])
+        return inner(model, x)
+
+    monkeypatch.setattr(nn, "_rows_forward", recording)
+    for n in (1, 2, h - 1, h, h + 1, 2 * h + 1, 3 * h + 2, 1000):
+        sizes.clear()
+        nn.logits(m, np.zeros((n, m.input_dim)))
+        assert sum(sizes) == n
+        assert all(size == h for size in sizes[:-1]), (n, sizes)
+        assert 2 <= sizes[-1] <= h + 1 or n == 1, (n, sizes)
+
+
+def test_logits_close_to_forward_at_other_widths():
+    # at these head widths BLAS may round a block unlike the whole batch,
+    # in the last bits only
+    m = nn.init_model(100, [], 384, 80, 20, seed=1)
+    x = np.random.default_rng(3).normal(size=(1000, 100))
+    _, z_l, z_u = nn.forward(m, x)
+    got_l, got_u = nn.logits(m, x)
+    np.testing.assert_allclose(got_l, z_l, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got_u, z_u, rtol=1e-12, atol=1e-12)
 
 
 def test_backward_matches_finite_difference_over_params():
@@ -189,6 +245,9 @@ def test_zeros_like_add_scaled_zero_backbone():
     assert all(np.all(p == 0) for _, p in nn.iter_params(z))
     nn.add_scaled_(z, m, 2.0)
     np.testing.assert_array_equal(model_params_flat(z), 2.0 * model_params_flat(m))
+    before = model_params_flat(z)
+    nn.add_scaled_(z, m)
+    np.testing.assert_array_equal(model_params_flat(z), before + model_params_flat(m))
     # a frozen backward returns zero backbone gradients and the full backward's heads
     rng = np.random.default_rng(6)
     x, gl, gu = rng.normal(size=(5, 6)), rng.normal(size=(5, 2)), rng.normal(size=(5, 3))

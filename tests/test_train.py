@@ -321,18 +321,20 @@ def test_cluster_train_matches_three_forward_reference(case):
 
 def test_cluster_train_one_forward_per_step(monkeypatch):
     ds, cfg, model = _pretrained(seed=13, cluster_epochs=4, labeled_mix_epoch=2)
-    calls = {"forward": 0, "pool": 0, "backward": 0, "evaluate": 0, "mixed": 0, "solver": 0}
+    calls = {"forward": 0, "logits": 0, "pool": 0, "backward": 0, "evaluate": 0, "mixed": 0,
+             "solver": 0}
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            if key == "forward" and args[1] is ds.unlabeled.x:
+            if key == "logits" and args[1] is ds.unlabeled.x:
                 calls["pool"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(nn, "forward", counting(nn.forward, "forward"))
+    monkeypatch.setattr(nn, "logits", counting(nn.logits, "logits"))
     monkeypatch.setattr(nn, "backward", counting(nn.backward, "backward"))
     monkeypatch.setattr(train, "evaluate", counting(train.evaluate, "evaluate"))
     monkeypatch.setattr(mixing, "build_mixed_batch", counting(mixing.build_mixed_batch, "mixed"))
@@ -343,8 +345,9 @@ def test_cluster_train_one_forward_per_step(monkeypatch):
     steps_per_epoch = -(-len(ds.unlabeled) // cfg.batch_unlabeled)
     steps = steps_per_epoch * cfg.cluster_epochs
     mixed_steps = steps_per_epoch * (cfg.cluster_epochs - cfg.labeled_mix_epoch + 1)
-    assert calls["pool"] == cfg.cluster_epochs + 1
-    assert calls["forward"] == steps + calls["pool"]
+    # the pool is scored without activations; every step forwards once
+    assert calls["pool"] == calls["logits"] == cfg.cluster_epochs + 1
+    assert calls["forward"] == steps
     assert calls["evaluate"] == cfg.cluster_epochs
     assert calls["solver"] == cfg.cluster_epochs + 1
     assert calls["mixed"] == mixed_steps
