@@ -116,7 +116,7 @@ def cluster_steps(model, ds: data.Dataset, cfg: RunConfig, repeats: int) -> Cloc
         clock.lap("backward, unlabeled rows")
         v = mixing.mixed_labels(mixed, nn.softmax(z_u[rows.stop :]))
         clock.lap("mixed labels")
-        opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l[rows], z_u[rows], v, cfg.opm_softmax)
+        opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l[rows], z_u[rows], v)
         train._check_finite(opm, "mixing loss", 1)
         clock.lap("loss (OPM)")
         grads_m = nn.backward(

@@ -119,8 +119,6 @@ class RunConfig:
     feature_dim: int = 384
     data_dir: str = "data"
     out_dir: str = "out"
-    opm_softmax: str = "joint"
-    anchor_labels: str = "onehot"
     disable_openmix: bool = False
 
     def validate(self) -> "RunConfig":
@@ -149,10 +147,6 @@ class RunConfig:
             raise ConfigError("injection epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.opm_softmax not in ("joint", "per_head"):
-            raise ConfigError("opm_softmax must be 'joint' or 'per_head'")
-        if self.anchor_labels not in ("onehot", "soft"):
-            raise ConfigError("anchor_labels must be 'onehot' or 'soft'")
         if not all(1 <= d <= MAX_WIDTH for d in [self.feature_dim, *self.hidden_dims]):
             raise ConfigError(f"feature_dim and hidden_dims must be in [1, {MAX_WIDTH}]")
         return self

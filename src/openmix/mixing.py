@@ -54,7 +54,7 @@ class AnchorSet:
     """Unlabeled rows whose max softmax cleared theta2, with labels checked at construction."""
 
     indices: np.ndarray  # (K,) int64 row indices into the unlabeled pool
-    labels: np.ndarray  # (K, c_u) one-hot (or soft) labels captured at selection
+    labels: np.ndarray  # (K, c_u) one-hot labels captured at selection
 
     def __post_init__(self) -> None:
         _check_simplex(self.labels, "anchor labels")
@@ -63,16 +63,11 @@ class AnchorSet:
         return self.indices.shape[0]
 
 
-def select_anchors(z_u_pool: np.ndarray, theta2: float, soft: bool = False) -> AnchorSet:
-    """Pick every example whose max softmax is >= theta2.
-
-    Labels are the pseudo-labels of losses.pseudo_labels; with soft=True the
-    raw softmax rows are kept instead.
-    """
-    p = softmax(np.asarray(z_u_pool, dtype=np.float64))
-    labels, assigned = pseudo_labels(p, theta2)
+def select_anchors(z_u_pool: np.ndarray, theta2: float) -> AnchorSet:
+    """Pick every example whose max softmax is >= theta2, labeled by losses.pseudo_labels."""
+    labels, assigned = pseudo_labels(softmax(np.asarray(z_u_pool, dtype=np.float64)), theta2)
     idx = np.flatnonzero(assigned)
-    return AnchorSet(idx.astype(np.int64), p[idx] if soft else labels[idx])
+    return AnchorSet(idx.astype(np.int64), labels[idx])
 
 
 class MixedBatch(NamedTuple):
@@ -184,14 +179,14 @@ def mixed_labels(batch: MixedBatch, pred: np.ndarray) -> np.ndarray:
 
 
 def opm_loss(
-    z_l: np.ndarray, z_u: np.ndarray, v: np.ndarray, mode: str = "joint"
+    z_l: np.ndarray, z_u: np.ndarray, v: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean scaled L2 distance between joint labels and model outputs.
 
     Per example: ||v - q||_2 / (C_l + C_u), averaged over the batch, where q
-    is the softmax of the concatenated head logits ("joint") or the
-    concatenation of per-head softmaxes ("per_head"). Returns the loss and
-    gradients w.r.t. both heads' logits.
+    is the softmax of the concatenated head logits, one distribution over
+    all C_l + C_u classes. Returns the loss and gradients w.r.t. both
+    heads' logits.
     """
     z_l = np.asarray(z_l, dtype=np.float64)
     z_u = np.asarray(z_u, dtype=np.float64)
@@ -206,13 +201,7 @@ def opm_loss(
         raise ValueError("joint label shape mismatch")
     c = c_l + c_u
 
-    if mode == "joint":
-        q = softmax(np.concatenate([z_l, z_u], axis=1))
-    elif mode == "per_head":
-        q = np.concatenate([softmax(z_l), softmax(z_u)], axis=1)
-    else:
-        raise ValueError("mode must be 'joint' or 'per_head'")
-
+    q = softmax(np.concatenate([z_l, z_u], axis=1))
     r = q - v
     d = np.linalg.norm(r, axis=1)
     loss = float(d.sum() / (b * c))
@@ -220,9 +209,5 @@ def opm_loss(
     grad_q = np.zeros_like(q)
     live = d > _NORM_FLOOR
     grad_q[live] = r[live] / (d[live, None] * b * c)
-    if mode == "joint":
-        grad_z = softmax_backward(q, grad_q)
-        return loss, grad_z[:, :c_l], grad_z[:, c_l:]
-    grad_zl = softmax_backward(q[:, :c_l], grad_q[:, :c_l])
-    grad_zu = softmax_backward(q[:, c_l:], grad_q[:, c_l:])
-    return loss, grad_zl, grad_zu
+    grad_z = softmax_backward(q, grad_q)
+    return loss, grad_z[:, :c_l], grad_z[:, c_l:]

@@ -143,9 +143,7 @@ def cluster_train(
         z_u_pool.argmax(axis=1), truth.labels_for_eval(), unlabeled.num_classes
     )
     for epoch in range(1, cfg.cluster_epochs + 1):
-        anchors = mixing.select_anchors(
-            z_u_pool, cfg.theta2, soft=cfg.anchor_labels == "soft"
-        )
+        anchors = mixing.select_anchors(z_u_pool, cfg.theta2)
         # an anchor's max softmax is at least theta2 > 0.5, so its captured
         # cluster is its pool row's argmax and its hit is that row's hit
         anchor_acc = float(pool_hits[anchors.indices].mean()) if len(anchors) else float("nan")
@@ -199,9 +197,7 @@ def cluster_train(
                 rows = slice(n, n + cfg.batch_mixed)
                 # mixing targets come from the current parameters, as constants
                 v = mixing.mixed_labels(mixed, nn.softmax(z_u[rows.stop :]))
-                opm, g_zl_m, g_zu_m = mixing.opm_loss(
-                    z_l[rows], z_u[rows], v, cfg.opm_softmax
-                )
+                opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l[rows], z_u[rows], v)
                 _check_finite(opm, "mixing loss", epoch)
                 grads_m = nn.backward(
                     model, mixed.m, [a[rows] for a in acts],

@@ -25,7 +25,8 @@ def _check_simplex(p):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("distribution must be a vector")
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
+    # written as "not ok" so that NaN fails too
+    if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("distribution must be nonnegative and sum to 1")
     return p
 

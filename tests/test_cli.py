@@ -242,6 +242,15 @@ def test_missing_dataset_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error:")
 
 
+@pytest.mark.parametrize("key,value", [("opm_softmax", "joint"), ("anchor_labels", "onehot")])
+def test_removed_config_key_exits_2(key, value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    rc = cli.main(["pretrain", "--config", str(cfg)])
+    assert rc == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_bad_spec_key_exits_2(tmp_path, capsys):
     spec = tmp_path / "bad.spec"
     spec.write_text("c_l = 2\nnot_a_knob = 9\n", encoding="utf-8")

@@ -1,5 +1,9 @@
 """Config parsing, overrides, and validation bounds."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from openmix.config import (
@@ -27,10 +31,26 @@ def test_default_values():
     assert cfg.anchor_mix_epoch == 5
     assert cfg.pretrain_epochs == 100
     assert cfg.hidden_dims == []
-    assert cfg.opm_softmax == "joint"
-    assert cfg.anchor_labels == "onehot"
     assert not cfg.disable_openmix
     cfg.validate()
+
+
+def _readme_block(intro):
+    """The fenced block that follows the README paragraph starting with intro."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(re.escape(intro) + r".*?\n```\n(.*?)```", text, re.S)
+    assert match, intro
+    return match.group(1)
+
+
+def test_readme_config_examples_parse_to_the_defaults():
+    spec = parse_flat(_readme_block("`blobs.spec` describes"), SplitSpec)
+    assert spec == SplitSpec()
+    block = _readme_block("`run.cfg` holds")
+    keys = [line.partition("=")[0].strip() for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert parse_flat(block, RunConfig) == RunConfig()
 
 
 def test_parse_flat_skips_blank_and_comments():
@@ -98,8 +118,6 @@ def test_apply_overrides_order_and_errors():
         ("pretrain_epochs", -1),
         ("labeled_mix_epoch", 0),
         ("anchor_mix_epoch", 0),
-        ("opm_softmax", "both"),
-        ("anchor_labels", "hard"),
         ("feature_dim", 0),
         ("hidden_dims", [8, 0]),
     ],

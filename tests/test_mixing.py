@@ -140,9 +140,6 @@ def test_select_anchors_threshold_and_labels():
     anchors = mixing.select_anchors(z, 0.9)
     assert np.array_equal(anchors.indices, np.array([0, 2]))
     assert np.array_equal(anchors.labels, np.array([[1.0, 0, 0], [0, 0, 1.0]]))
-    soft = mixing.select_anchors(z, 0.9, soft=True)
-    p = nn.softmax(z)
-    np.testing.assert_allclose(soft.labels, p[[0, 2]], rtol=0, atol=1e-15)
     empty = mixing.select_anchors(np.zeros((3, 3)), 0.9)
     assert len(empty) == 0
 
@@ -184,7 +181,6 @@ REFERENCE_CASES = {
     "both sources": dict(size=64, use_labeled=True, use_anchors=True),
     "labeled only": dict(size=64, use_labeled=True, use_anchors=False),
     "anchors only": dict(size=64, use_labeled=False, use_anchors=True),
-    "soft anchor labels": dict(size=64, use_labeled=True, use_anchors=True, soft=True),
     "epsilon 0.3, odd size": dict(size=17, epsilon=0.3, use_labeled=True, use_anchors=True),
     "epsilon 2": dict(size=33, epsilon=2.0, use_labeled=True, use_anchors=True),
     "one row": dict(size=1, use_labeled=True, use_anchors=True),
@@ -196,10 +192,10 @@ REFERENCE_CASES = {
 def test_build_mixed_batch_matches_per_row_reference(case):
     kw = dict(REFERENCE_CASES[case])
     size, epsilon = kw.pop("size"), kw.pop("epsilon", 1.0)
-    soft, n_unl = kw.pop("soft", False), kw.pop("n_unl", 12)
+    n_unl = kw.pop("n_unl", 12)
     labeled_x, labeled_onehot, unlabeled_x, pred_u = mixing_inputs(n_unl=n_unl)
     pool_logits = np.random.default_rng(8).normal(size=(n_unl, 3)) * 4
-    anchors = mixing.select_anchors(pool_logits, 0.6, soft=soft)
+    anchors = mixing.select_anchors(pool_logits, 0.6)
     assert len(anchors) > 0
 
     class Recorder:
@@ -239,10 +235,8 @@ def test_batch_label_checks_agree_with_per_row_reference():
     one_hot_rows = [[1.0, 0.0, 0.0], [0.0, -0.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.5, 0.0],
                     [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
                     [1.0, -1e-300, 0.0], [1.0, 0.0, -1.0]]
-    # the per-row reference lets NaN through; the batch check's NaN case is
-    # in test_extend_unlabeled_layout
     simplex_rows = [[0.25, 0.75, 0.0], [0.5, 0.6, 0.0], [-0.1, 1.1, 0.0], [1.0, 0.0, 0.0],
-                    [0.0, 0.0, 0.0]]
+                    [0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]]
     for rows, batch_check, row_check in (
         (one_hot_rows, mixing._check_one_hot, mixing_reference._check_one_hot),
         (simplex_rows, lambda y: mixing._check_simplex(y, "labels"),
@@ -296,7 +290,7 @@ def test_opm_loss_corner_value():
     z_l = np.array([[40.0, 0.0]])
     z_u = np.array([[0.0, 0.0]])
     v = np.array([[0.0, 1.0, 0.0, 0.0]])
-    loss, _, _ = mixing.opm_loss(z_l, z_u, v, mode="joint")
+    loss, _, _ = mixing.opm_loss(z_l, z_u, v)
     assert loss == pytest.approx(0.3535533905932738, abs=1e-12)
 
 
@@ -304,53 +298,31 @@ def test_opm_loss_zero_at_exact_match():
     z_l = np.array([[0.3, -0.2]])
     z_u = np.array([[0.1, 0.4]])
     q = nn.softmax(np.concatenate([z_l, z_u], axis=1))
-    loss, gl, gu = mixing.opm_loss(z_l, z_u, q.copy(), mode="joint")
+    loss, gl, gu = mixing.opm_loss(z_l, z_u, q.copy())
     assert loss == 0.0
     assert np.array_equal(gl, np.zeros_like(z_l))
     assert np.array_equal(gu, np.zeros_like(z_u))
 
 
-def test_opm_per_head_value_matches_scalar_route():
-    rng = np.random.default_rng(5)
-    z_l = rng.normal(size=(4, 2))
-    z_u = rng.normal(size=(4, 3))
-    batch = mixing.build_mixed_batch(
-        4, np.zeros((1, 2)), np.array([[1.0, 0.0]]), np.zeros((1, 2)), None, 1.0, rng,
-        use_labeled=True, use_anchors=False,
-    )
-    v = mixing.mixed_labels(batch, nn.softmax(rng.normal(size=(4, 3))))
-    loss, _, _ = mixing.opm_loss(z_l, z_u, v, mode="per_head")
-    pl, pu = nn.softmax(z_l), nn.softmax(z_u)
-    want = 0.0
-    for i in range(4):
-        q = np.concatenate([pl[i], pu[i]])
-        want += np.sqrt(((q - v[i]) ** 2).sum()) / 5.0
-    want /= 4.0
-    assert loss == pytest.approx(want, abs=1e-14)
-    with pytest.raises(ValueError):
-        mixing.opm_loss(z_l, z_u, v, mode="blended")
-
-
 def test_opm_gradient_finite_difference_both_modes():
     rng = np.random.default_rng(6)
-    for mode in ("joint", "per_head"):
-        for _ in range(10):
-            b = int(rng.integers(1, 5))
-            c_l = int(rng.integers(2, 4))
-            c_u = int(rng.integers(2, 4))
-            z_l = rng.normal(size=(b, c_l))
-            z_u = rng.normal(size=(b, c_u))
-            v = nn.softmax(rng.normal(size=(b, c_l + c_u)))
-            loss, gl, gu = mixing.opm_loss(z_l, z_u, v, mode=mode)
-            flat = np.concatenate([z_l.reshape(-1), z_u.reshape(-1)])
+    for _ in range(10):
+        b = int(rng.integers(1, 5))
+        c_l = int(rng.integers(2, 4))
+        c_u = int(rng.integers(2, 4))
+        z_l = rng.normal(size=(b, c_l))
+        z_u = rng.normal(size=(b, c_u))
+        v = nn.softmax(rng.normal(size=(b, c_l + c_u)))
+        loss, gl, gu = mixing.opm_loss(z_l, z_u, v)
+        flat = np.concatenate([z_l.reshape(-1), z_u.reshape(-1)])
 
-            def loss_at(f):
-                zl = f[: b * c_l].reshape(b, c_l)
-                zu = f[b * c_l :].reshape(b, c_u)
-                return mixing.opm_loss(zl, zu, v, mode=mode)[0]
+        def loss_at(f):
+            zl = f[: b * c_l].reshape(b, c_l)
+            zu = f[b * c_l :].reshape(b, c_u)
+            return mixing.opm_loss(zl, zu, v)[0]
 
-            numeric = fd_grad(loss_at, flat)
-            assert_grad_close(np.concatenate([gl.reshape(-1), gu.reshape(-1)]), numeric)
+        numeric = fd_grad(loss_at, flat)
+        assert_grad_close(np.concatenate([gl.reshape(-1), gu.reshape(-1)]), numeric)
 
 
 def test_opm_loss_shape_checks():

@@ -291,8 +291,7 @@ def test_cluster_train_one_row_last_batch(batch_unlabeled, monkeypatch):
 REFERENCE_CASES = {
     "default": {},
     "disable_openmix": dict(disable_openmix=True),
-    "opm_softmax per_head": dict(opm_softmax="per_head"),
-    "soft anchor labels": dict(anchor_labels="soft", theta2=0.6, anchor_mix_epoch=3),
+    "early anchors, theta2=0.6": dict(theta2=0.6, anchor_mix_epoch=3),
     "hidden layer, odd unlabeled batch": dict(hidden_dims=[32], batch_unlabeled=17),
     "epsilon 0.3, odd mixed batch": dict(epsilon=0.3, batch_mixed=17),
     "freeze ends mid-run": dict(freeze_epochs=5),
@@ -315,7 +314,7 @@ def test_cluster_train_matches_three_forward_reference(case):
         want = train_reference.cluster_train(ref_model, ds, cfg)
     assert model_params_flat(model).tobytes() == model_params_flat(ref_model).tobytes()
     assert reports_equal(reports, want)
-    if case == "soft anchor labels":
+    if case == "early anchors, theta2=0.6":
         assert any(r.anchor_count > 0 for r in reports[cfg.anchor_mix_epoch - 1 :])
 
 

@@ -261,9 +261,7 @@ def cluster_train(model, dataset, cfg):
     warned_no_anchors = False
     for epoch in range(1, cfg.cluster_epochs + 1):
         _, _, z_u_pool = _forward(model, unlabeled.x, "unlabeled-pool", epoch)
-        anchors = mixing.select_anchors(
-            z_u_pool, cfg.theta2, soft=cfg.anchor_labels == "soft"
-        )
+        anchors = mixing.select_anchors(z_u_pool, cfg.theta2)
         anchor_count, anchor_acc = _anchor_stats(
             anchors, z_u_pool.argmax(axis=1), truth, c_u
         )
@@ -313,9 +311,7 @@ def cluster_train(model, dataset, cfg):
                     use_anchors=want_anchor,
                 )
                 acts_m, z_l_m, z_u_m = _forward(model, m, "mixed-batch", epoch)
-                opm, g_zl_m, g_zu_m = mixing.opm_loss(
-                    z_l_m, z_u_m, v, cfg.opm_softmax
-                )
+                opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l_m, z_u_m, v)
                 _check_finite(opm, "mixing loss", epoch)
                 grads_m = backward(
                     model, m, acts_m, cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m
