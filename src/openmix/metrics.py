@@ -8,8 +8,9 @@ side.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -32,16 +33,63 @@ def contingency(pred: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
 
 
 def assignment_solver(score: np.ndarray) -> np.ndarray:
-    """Permutation p maximizing sum_i score[i, p[i]], computed exactly."""
+    """Permutation p maximizing sum_i score[i, p[i]], computed exactly.
+
+    Shortest augmenting paths on the negated scores (Crouse 2016, "On
+    implementing 2D rectangular assignment algorithms", square case), the
+    algorithm behind linear_sum_assignment. Its visiting order, float
+    operation order and tie rule are kept, so a tied optimum resolves to the
+    same permutation: among columns tied at the least reduced cost, the last
+    unassigned one wins, else the first one. O(k^3) scalar steps; rows are
+    read from the array as the search visits them.
+    """
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2 or score.shape[0] != score.shape[1]:
         raise ValueError("score matrix must be square")
     if not np.all(np.isfinite(score)):
         raise ValueError("score matrix must be finite")
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    perm = np.empty(score.shape[0], dtype=np.int64)
-    perm[rows] = cols
-    return perm
+    cost = -score
+    k = cost.shape[0]
+    u, v = [0.0] * k, [0.0] * k
+    col4row, row4col, path = [-1] * k, [-1] * k, [-1] * k
+    for cur in range(k):
+        # Dijkstra from row cur over reduced costs until a free column is reached
+        dist = [math.inf] * k
+        seen_rows, seen_cols = [], []
+        remaining = list(range(k - 1, -1, -1))
+        min_val, i = 0.0, cur
+        while True:
+            seen_rows.append(i)
+            row, ui = cost[i].tolist(), u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r, d = min_val + row[j] - ui - v[j], dist[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d < lowest or (d == lowest and row4col[j] == -1):
+                    lowest, index = d, it
+            min_val = lowest
+            j = remaining[index]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        # dual updates, then augment back along path from the free column j
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for col in seen_cols:
+            v[col] -= min_val - dist[col]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.int64)
 
 
 def best_map_hits(

@@ -447,20 +447,39 @@ def test_analyze_report_contents():
     assert "500/500 cases hold" in lines[3]
 
 
+def package_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
 def test_installed_entry_point_runs():
     # without an installed omx, run the module the entry point would call
     exe = shutil.which("omx")
     cmd = [exe] if exe else [sys.executable, "-m", "openmix.cli"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     proc = subprocess.run(
         [*cmd, "analyze", "--samples", "200", "--seed", "1"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("mixing-reliability report")
+
+
+def test_import_loads_no_scipy():
+    # scipy is only the tests' oracle for the assignment solver; loading
+    # scipy.optimize would add about half a second to every omx command
+    code = (
+        "import sys, openmix.cli\n"
+        "assert 'openmix.metrics' in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -79,6 +79,33 @@ def test_assignment_solver_brute_force():
         metrics.assignment_solver(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_assignment_solver_matches_linear_sum_assignment():
+    # element for element, not only in value: a tied optimum must resolve to
+    # the same permutation, since anchor accuracy reads which cluster maps to
+    # which class. Small-integer tables and empty clusters tie often.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(12)
+    tables = []
+    for high in (1, 3, 50):
+        for k in range(1, 9):
+            for _ in range(220):
+                table = rng.integers(0, high + 1, size=(k, k)).astype(np.float64)
+                if rng.random() < 0.3:
+                    table[rng.integers(0, k, size=rng.integers(1, k + 1))] = 0.0
+                tables.append(table)
+    for k in range(1, 9):
+        for _ in range(50):
+            tables.append(rng.normal(size=(k, k)))
+            tables.append(rng.uniform(0.0, 4.0, size=(k, k)).round(1))
+    for k in (20, 60):
+        for _ in range(2):
+            tables.append(rng.integers(0, 4, size=(k, k)).astype(np.float64))
+            tables.append(rng.normal(size=(k, k)))
+    for table in tables:
+        _, cols = optimize.linear_sum_assignment(table, maximize=True)
+        assert metrics.assignment_solver(table).tolist() == cols.tolist(), table
+
+
 def test_acc_hand_cases():
     truth = np.array([0, 0, 1, 1, 2, 2])
     assert metrics.acc(truth, truth) == 1.0
