@@ -1,4 +1,5 @@
-"""Print the sha256 of checkpoint + metrics bytes for a fixed set of runs.
+"""Print the sha256 of checkpoint + metrics bytes for a fixed set of runs,
+then of the `omx analyze --samples 1000000` report at seeds 0 and 1.
 
 Each configuration runs build_model -> pretrain -> attach_new_head ->
 cluster_train on SplitSpec(seed=seed) with the case's "split" fields, then
@@ -14,7 +15,7 @@ running this copy with PYTHONPATH pointing at the parent's src/.
 
 BLAS threading is pinned to one thread before numpy loads, because a
 multi-threaded BLAS may sum in a different order from run to run. All 14
-runs take about 20 s on a 2-core Xeon.
+runs and both reports take about 23 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
 
-from openmix import data, train  # noqa: E402
+from openmix import cli, data, train  # noqa: E402
 from openmix.checkpoint import save_checkpoint  # noqa: E402
 from openmix.config import RunConfig  # noqa: E402
 
@@ -59,6 +62,7 @@ CONFIGS = {
     # 426 = 5 * 85 + 1 pool rows: nn.logits' 85-row blocks leave a 1-row tail
     "short c_u=6, per_class=71": (0, dict(SHORT, split=dict(c_u=6, per_class=71))),
 }
+ANALYZE_SEEDS = (0, 1)
 
 
 def run_digest(seed: int, fields: dict, workdir: str) -> str:
@@ -82,10 +86,21 @@ def run_digest(seed: int, fields: dict, workdir: str) -> str:
     return digest.hexdigest()
 
 
+def analyze_digest(seed: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["analyze", "--samples", "1000000", "--seed", str(seed)])
+    if rc != 0:
+        raise RuntimeError(f"omx analyze exited {rc}")
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="run-hashes-") as workdir:
         for name, (seed, fields) in CONFIGS.items():
             print(f"{run_digest(seed, fields, workdir)}  {name}", flush=True)
+    for seed in ANALYZE_SEEDS:
+        print(f"{analyze_digest(seed)}  analyze --samples 1000000 --seed {seed}", flush=True)
     return 0
 
 

@@ -195,10 +195,15 @@ def generate_blobs(spec: SplitSpec) -> Dataset:
     total = spec.c_l + spec.c_u
     scale = spec.separation / np.sqrt(2.0)
     blocks = []
-    for k in range(total):
-        center = np.zeros(spec.input_dim)
-        center[k] = scale
-        blocks.append(center + spec.sigma * rng.standard_normal((spec.per_class, spec.input_dim)))
+    try:
+        with np.errstate(over="raise"):
+            for k in range(total):
+                center = np.zeros(spec.input_dim)
+                center[k] = scale
+                noise = rng.standard_normal((spec.per_class, spec.input_dim))
+                blocks.append(center + spec.sigma * noise)
+    except FloatingPointError:
+        raise ConfigError("separation and sigma overflow the features to infinity") from None
     n_l = spec.c_l * spec.per_class
     x = np.concatenate(blocks, axis=0)
     labels = np.repeat(np.arange(total), spec.per_class)

@@ -35,12 +35,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / total
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log of softmax computed without forming small probabilities first."""
-    shifted, _, total = shifted_exp(logits, "log_softmax")
-    return shifted - np.log(total)
-
-
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:
     """Chain an upstream gradient on softmax outputs back to the logits."""
     inner = (grad_probs * probs).sum(axis=-1, keepdims=True)
@@ -261,15 +255,6 @@ def iter_params(model: TwoHeadMLP):
     yield "old_head.b", model.old_head.b
     yield "new_head.w", model.new_head.w
     yield "new_head.b", model.new_head.b
-
-
-def zeros_like_model(model: TwoHeadMLP) -> TwoHeadMLP:
-    """A gradient container of the same geometry, all zeros."""
-    return TwoHeadMLP(
-        [Affine(np.zeros_like(a.w), np.zeros_like(a.b)) for a in model.backbone],
-        Affine(np.zeros_like(model.old_head.w), np.zeros_like(model.old_head.b)),
-        Affine(np.zeros_like(model.new_head.w), np.zeros_like(model.new_head.b)),
-    )
 
 
 def add_scaled_(dst: TwoHeadMLP, src: TwoHeadMLP, scale: float = 1.0) -> None:

@@ -1,8 +1,9 @@
-"""Shared test utilities: finite-difference gradients and tiny fixtures."""
+"""Shared test utilities: finite-difference gradients, tiny fixtures, and the
+helpers that only tests call (log_softmax, zero gradients, random theory cases)."""
 
 import numpy as np
 
-from openmix import config, data, nn
+from openmix import config, data, nn, theory
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -41,7 +42,7 @@ def pll_reference(z, labels, assigned):
     n_hat = int(assigned.sum())
     if n_hat == 0:
         return 0.0
-    logp = nn.log_softmax(z)
+    logp = log_softmax(z)
     return float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
 
 
@@ -73,3 +74,54 @@ def tiny_model(seed=0, input_dim=6, hidden=(4,), feature_dim=5, c_l=2, c_u=3):
 
 def model_params_flat(model):
     return np.concatenate([p.reshape(-1) for _, p in nn.iter_params(model)])
+
+
+def log_softmax(logits):
+    """Log of softmax computed without forming small probabilities first."""
+    shifted, _, total = nn.shifted_exp(logits, "log_softmax")
+    return shifted - np.log(total)
+
+
+def zeros_like_model(model):
+    """A gradient container of the same geometry, all zeros."""
+    return nn.TwoHeadMLP(
+        [nn.Affine(np.zeros_like(a.w), np.zeros_like(a.b)) for a in model.backbone],
+        nn.Affine(np.zeros_like(model.old_head.w), np.zeros_like(model.old_head.b)),
+        nn.Affine(np.zeros_like(model.new_head.w), np.zeros_like(model.new_head.b)),
+    )
+
+
+def random_case(rng, c_l=5, c_u=5):
+    """Draw one label-error case: one-hot truths, exponential-normalized pseudo-labels."""
+
+    def one_hot(k):
+        v = np.zeros(k)
+        v[rng.integers(0, k)] = 1.0
+        return v
+
+    def simplex(k):
+        e = rng.exponential(1.0, size=k)
+        return e / e.sum()
+
+    return theory.ErrorCase(
+        y_a=one_hot(c_u),
+        y_hat_a=simplex(c_u),
+        y_b=one_hot(c_u),
+        y_hat_b=simplex(c_u),
+        eta=float(rng.uniform()),
+        y_c=one_hot(c_l),
+    )
+
+
+def mixup_can_worsen(rng=None, attempts=10000):
+    """Return a case whose plain-mix difference is negative.
+
+    Without an rng this is the worked counterexample. With one, random cases
+    are searched first and the worked instance is the fallback.
+    """
+    if rng is not None:
+        for _ in range(attempts):
+            case = random_case(rng)
+            if theory.mixup_error(case)[1] < 0.0:
+                return case
+    return theory.worked_counterexample()

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -206,6 +207,18 @@ def test_wide_spec_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "input_dim must be <= 4096" in err
+
+
+def test_overflowing_spec_exits_2_and_writes_nothing(tmp_path, capsys):
+    spec = tmp_path / "overflow.spec"
+    spec.write_text(SPEC_TEXT.replace("sigma = 1.0", "sigma = 1e308"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "d" / cli.DATASET_FILE).exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_non_finite_override_exits_2(pipeline, capsys):

