@@ -1,5 +1,6 @@
 """Print the sha256 of checkpoint + metrics bytes for a fixed set of runs,
-then of the `omx analyze --samples 1000000` report at seeds 0 and 1.
+then of the `omx analyze --samples 1000000` report at seeds 0 and 1, then
+of what `load_dataset` returns for three dataset files.
 
 Each configuration runs build_model -> pretrain -> attach_new_head ->
 cluster_train on SplitSpec(seed=seed) with the case's "split" fields, then
@@ -10,12 +11,18 @@ change, then diffing:
 
     PYTHONPATH=src python3 experiments/run_hashes.py > hashes.txt
 
+The loaded files are the writer's own at SplitSpec(per_class=5000) and
+seeds 0 and 1, which numpy's C reader parses, and a valid seed-0 file with
+spaces and "_" in its features, which only the per-line route takes. Each
+digest covers the features then the labels of the labeled and unlabeled
+rows.
+
 A parent commit whose copy of this script lacks a case is checked by
 running this copy with PYTHONPATH pointing at the parent's src/.
 
 BLAS threading is pinned to one thread before numpy loads, because a
 multi-threaded BLAS may sum in a different order from run to run. All 14
-runs and both reports take about 23 s on a 2-core Xeon.
+runs, both reports and the three loads take about 25 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -63,6 +71,8 @@ CONFIGS = {
     "short c_u=6, per_class=71": (0, dict(SHORT, split=dict(c_u=6, per_class=71))),
 }
 ANALYZE_SEEDS = (0, 1)
+LOAD_SEEDS = (0, 1)
+DIGIT_PAIR = re.compile(r"(\d)(\d)")
 
 
 def run_digest(seed: int, fields: dict, workdir: str) -> str:
@@ -95,12 +105,42 @@ def analyze_digest(seed: int) -> str:
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def load_digest(path: str) -> str:
+    ds = data.load_dataset(path)
+    digest = hashlib.sha256()
+    for arr in (ds.labeled.x, ds.labeled.y, ds.unlabeled.x, ds.truth.labels_for_eval()):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def spaced_copy(src: str, dst: str) -> None:
+    """Rewrite a dataset file with " " around each feature and "_" between two of its digits."""
+    with open(src, encoding="utf-8") as fh:
+        head, *rows = fh.read().splitlines()
+    out = [head]
+    for row in rows:
+        kind, label, *feats = row.split(",")
+        feats = (DIGIT_PAIR.sub(r"\1_\2", tok, count=1) for tok in feats)
+        out.append(",".join([kind, label, *(f" {tok} " for tok in feats)]))
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="run-hashes-") as workdir:
         for name, (seed, fields) in CONFIGS.items():
             print(f"{run_digest(seed, fields, workdir)}  {name}", flush=True)
     for seed in ANALYZE_SEEDS:
         print(f"{analyze_digest(seed)}  analyze --samples 1000000 --seed {seed}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="run-hashes-") as workdir:
+        path = os.path.join(workdir, "dataset.csv")
+        for seed in LOAD_SEEDS:
+            data.save_dataset(path, data.generate_blobs(data.SplitSpec(per_class=5000, seed=seed)))
+            print(f"{load_digest(path)}  load per_class=5000 seed {seed}", flush=True)
+        data.save_dataset(path, data.generate_blobs(data.SplitSpec(seed=0)))
+        spaced = path + ".spaced"
+        spaced_copy(path, spaced)
+        print(f"{load_digest(spaced)}  load seed 0 with spaces and underscores", flush=True)
     return 0
 
 

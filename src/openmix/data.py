@@ -7,6 +7,9 @@ evaluation-only registry so training code cannot touch it.
 
 from __future__ import annotations
 
+import io
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,86 +238,83 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise DataFormatError(f"line {lineno}: bad {what} {token!r}") from None
 
 
-INT64_MAX = 2**63 - 1
-
-# Lines parsed per chunk: a chunk's split tokens take a few MB, so a large
-# file never holds the tokens of all its lines at once.
-CHUNK_LINES = 8192
+# The bytes of the writer's data lines, the only ones numpy's C reader gets: it
+# and float() or int() disagree on whitespace, "_" and non-ASCII digits.
+WRITER_ALPHABET = b"0123456789.,eE+-LU\n"
 
 
-def _check_line(row: list[str], lineno: int, input_dim: int, c_l: int, c_u: int) -> None:
-    """Raise DataFormatError at the first failed check of one split data line."""
+def _check_line(row: list[str], lineno: int, input_dim: int, c_l: int, c_u: int):
+    """Parse one data line into (is_l, label, features), raising at its first failed check:
+    field count, class index, feature values, finiteness, then kind and class range."""
     if len(row) != 2 + input_dim:
         raise DataFormatError(f"line {lineno}: expected {2 + input_dim} fields, got {len(row)}")
     label = _parse_int(row[1], lineno, "class index")
     try:
-        feats = [float(token) for token in row[2:]]
+        feats = list(map(float, row[2:]))
     except ValueError:
         raise DataFormatError(f"line {lineno}: bad feature value") from None
-    if not np.isfinite(feats).all():
+    if not all(map(math.isfinite, feats)):
         raise DataFormatError(f"line {lineno}: non-finite feature value")
     kind = row[0]
     if kind not in ("L", "U"):
         raise DataFormatError(f"line {lineno}: row kind must be L or U, got {kind!r}")
     # labels are stored as int64, so a class index beyond it is out of range
     # even where the header's class count is larger still
-    if not 0 <= label <= INT64_MAX or label >= (c_l if kind == "L" else c_u):
+    if not 0 <= label < 2**63 or label >= (c_l if kind == "L" else c_u):
         side = "labeled" if kind == "L" else "hidden"
         raise DataFormatError(f"line {lineno}: {side} class {label} out of range")
+    return kind == "L", label, feats
 
 
-def _parse_chunk(rows: list[list[str]], linenos: list[int], input_dim: int, c_l: int, c_u: int):
-    """Parse split data lines into (x, labels, is_l, is_u) or raise at the first fault.
+def _read_lines(lines: list[str], input_dim: int, c_l: int, c_u: int):
+    """The exact route: (x, labels, is_l) from one data line at a time, or the first fault."""
+    x, labels, is_l = array("d"), [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line:
+            row_is_l, label, feats = _check_line(line.split(","), lineno, input_dim, c_l, c_u)
+            x.extend(feats)
+            labels.append(label)
+            is_l.append(row_is_l)
+    return np.frombuffer(x).reshape(-1, input_dim), np.array(labels, np.int64), np.array(is_l, bool)
 
-    The lines are parsed and checked as arrays. When any check fails, one
-    walk over the lines raises at the first faulty line with that line's
-    first failed check, in the order: field count, class index, feature
-    values, finiteness, then kind and class range.
-    """
-    n = len(rows)
-    ok = (np.fromiter(map(len, rows), np.int64, n) == 2 + input_dim).all()
-    if ok:
-        try:
-            # class indices stay Python ints, so a huge one is out of range, not an overflow
-            labels = np.fromiter(map(int, [r[1] for r in rows]), object, n)
-            x = np.fromiter(map(float, [t for r in rows for t in r[2:]]), np.float64, n * input_dim)
-        except ValueError:
-            ok = False
-    if ok:
-        x = x.reshape(n, input_dim)
-        kinds = np.array([r[0] for r in rows], dtype=object)
-        is_l, is_u = kinds == "L", kinds == "U"
-        in_range = is_l & (labels < c_l) | is_u & (labels < c_u)
-        ok = (np.isfinite(x).all(axis=1) & (labels >= 0) & (labels <= INT64_MAX) & in_range).all()
-    if not ok:
-        for row, lineno in zip(rows, linenos):
-            _check_line(row, lineno, input_dim, c_l, c_u)
-    return x, labels, is_l, is_u
+
+def _read_c(body: bytes, input_dim: int, c_l: int, c_u: int):
+    """The fast route: numpy's C reader parses the body of the writer's bytes at once.
+    None where the body holds no row or another byte, or the reader or a check fails."""
+    if not body.lstrip(b"\n") or body.translate(None, WRITER_ALPHABET):
+        return None
+    dtype = [("kind", "U2"), ("label", "i8"), ("x", "f8", (input_dim,))]
+    # int() reads the class indices, so its digit limit holds on both routes
+    read = dict(delimiter=",", comments=None, converters={1: int}, ndmin=1)
+    try:
+        rows = np.loadtxt(io.BytesIO(body), dtype, **read)
+    except ValueError:
+        return None
+    is_l, labels = rows["kind"] == "L", rows["label"]
+    ok = (is_l | (rows["kind"] == "U")) & (labels >= 0) & (labels < np.where(is_l, c_l, c_u))
+    return (rows["x"], labels, is_l) if ok.all() and np.isfinite(rows["x"]).all() else None
 
 
 def load_dataset(path: str) -> Dataset:
-    lines = read_text(path, "dataset", DataFormatError).splitlines()
-    if not lines:
+    text = read_text(path, "dataset", DataFormatError)
+    head = text.partition("\n")[0]
+    first = head.splitlines()[:1] or text.splitlines()[:1]  # text.splitlines()[:1], cheaply
+    if not first:
         raise DataFormatError("line 1: missing header")
-    head = lines[0].split(",")
-    if len(head) != 5 or head[0] != "omx-dataset" or head[1] != "v1":
-        raise DataFormatError(f"line 1: bad header {lines[0]!r}")
-    input_dim = _parse_int(head[2], 1, "input_dim")
-    c_l = _parse_int(head[3], 1, "C_l")
-    c_u = _parse_int(head[4], 1, "C_u")
+    fields = first[0].split(",")
+    if len(fields) != 5 or fields[0] != "omx-dataset" or fields[1] != "v1":
+        raise DataFormatError(f"line 1: bad header {first[0]!r}")
+    input_dim = _parse_int(fields[2], 1, "input_dim")
+    c_l = _parse_int(fields[3], 1, "C_l")
+    c_u = _parse_int(fields[4], 1, "C_u")
     if input_dim < 1 or c_l < 1 or c_u < 1:
         raise DataFormatError("line 1: header counts must be >= 1")
 
-    # chunks run in file order, so the first chunk to raise holds the file's first fault
-    linenos = [no for no, line in enumerate(lines[1:], start=2) if line]
-    chunks = []
-    for start in range(0, max(len(linenos), 1), CHUNK_LINES):
-        nos = linenos[start : start + CHUNK_LINES]
-        rows = [lines[no - 1].split(",") for no in nos]
-        chunks.append(_parse_chunk(rows, nos, input_dim, c_l, c_u))
-    x, labels, is_l, is_u = (np.concatenate(parts) for parts in zip(*chunks))
-
-    n_l, n_u = int(is_l.sum()), int(is_u.sum())
+    # the C reader needs a header ended by "\n", and counts that fit its dtype and int64
+    fits = first[0] == head and input_dim <= MAX_WIDTH and max(c_l, c_u) <= MAX_CLASSES
+    parsed = fits and _read_c(text[len(head) + 1 :].encode(), input_dim, c_l, c_u)
+    x, labels, is_l = parsed or _read_lines(text.splitlines(), input_dim, c_l, c_u)
+    n_l, n_u = int(is_l.sum()), int((~is_l).sum())
     if not n_l or n_u < 2:
         raise DataFormatError(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")
     if max(c_l, c_u) > MAX_CLASSES:
@@ -322,8 +322,8 @@ def load_dataset(path: str) -> Dataset:
     if input_dim > MAX_WIDTH:
         raise DataFormatError(f"line 1: input_dim must be <= {MAX_WIDTH}, got {input_dim}")
     labeled = LabeledSet(x[is_l], labels[is_l], c_l)
-    unlabeled = UnlabeledSet(x[is_u], c_u)
-    return Dataset(labeled, unlabeled, HiddenTruth(labels[is_u]))
+    unlabeled = UnlabeledSet(x[~is_l], c_u)
+    return Dataset(labeled, unlabeled, HiddenTruth(labels[~is_l]))
 
 
 def batch_iter(data, batch_size: int, seed: int, epoch: int):

@@ -1,4 +1,4 @@
-"""Per-line dataset loader: the reference the array-at-a-time one must equal.
+"""Per-line dataset loader: the reference both routes of data.load_dataset must equal.
 
 This is the line-at-a-time route: each line is split, checked and parsed
 on its own, in file order, and the first faulty line raises. For every

@@ -1,10 +1,12 @@
 """Dataset generation, persistence, the truth firewall, and batching."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
+from openmix import data
 from openmix.config import ConfigError
 from openmix.data import (
     DataFormatError,
@@ -138,6 +140,31 @@ def test_save_load_roundtrip_identity(tmp_path):
     assert ds.truth.reads == reads_before  # persistence is not an eval read
     back = load_dataset(str(path))
     assert back == ds  # float64 repr round-trips bitwise
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SplitSpec(seed=0), SplitSpec(seed=1), SplitSpec(seed=2), SplitSpec(per_class=5000)],
+    ids=["seed0", "seed1", "seed2", "per_class5000"],
+)
+def test_writer_made_file_never_falls_back(spec, tmp_path, monkeypatch):
+    def no_fallback(*args):
+        raise AssertionError("a writer-made file reached the per-line route")
+
+    monkeypatch.setattr(data, "_read_lines", no_fallback)
+    path = str(tmp_path / "ds.csv")
+    save_dataset(path, generate_blobs(spec))
+    assert load_dataset(path) == generate_blobs(spec)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-lines"])
+def test_empty_body_fails_without_warning(body, tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("omx-dataset,v1,2,1,2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="need at least 1 L row and 2 U rows, found 0"):
+            load_dataset(str(path))
 
 
 def test_load_dataset_header_errors(tmp_path):

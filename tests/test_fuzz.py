@@ -5,8 +5,10 @@ run config and split spec go through their loaders. Each variant must
 either load or raise the loader's documented error; anything else (a
 UnicodeDecodeError, a bare ValueError, an IndexError) is a bug the CLI
 would print as a traceback. The dataset loader must also match the
-per-line reference loader on every variant and on hand-built files with
-several faults: the same Dataset, or the same error and message.
+per-line reference loader on every variant, on mutations drawn from the
+writer's own bytes and on hand-built files with several faults or edge
+tokens: the same Dataset, or the same error and message. It must do so on
+both of its routes, numpy's C reader and the per-line parser.
 """
 
 import dataclasses
@@ -134,6 +136,28 @@ HUGE_LINES = [
 WIDE_HEAD = f"omx-dataset,v1,{MAX_WIDTH + 1},2,3"
 WIDE_LINES = [row + ",0.5" * (MAX_WIDTH + 1) for row in ["L,1", "U,0", "U,2"]]
 
+# tokens of the writer's alphabet where numpy's C reader and int() or float()
+# could part ways: signs, leading zeros, int64 edges, exponent forms,
+# subnormals, overflow to inf, and kinds the C reader keeps two letters of
+EDGE_LINES = [
+    "L,+1,-.5e-3,1e0001",
+    "U,-0,4.9e-324,-0.0",
+    "U,00,1E4,+.5",
+    "L,+5,1.0,2.0",
+    "U,9223372036854775807,1.0,2.0",
+    "U,9223372036854775808,1.0,2.0",
+    "LU,0,1.0,2.0",
+    "UL,0,1.0,2.0",
+    ",0,1.0,2.0",
+    "U,1,1E400,2.0",
+    "U,1,1.0,-1e400",
+    f"U,{'0' * 5000}1,1.0,2.0",  # beyond int()'s digit limit
+    f"U,1,{'0' * 5000}1.{'0' * 5000}1e-2,2.0",
+    # outside the alphabet: line breaks to splitlines that the C reader strips as whitespace
+    "U,0,0.5\x0c,0.25",
+    "U,1\x1c,0.5,0.25",
+]
+
 
 def multi_fault_files():
     """Valid files and files with faults on two lines, in every order."""
@@ -149,18 +173,55 @@ def multi_fault_files():
         yield [HUGE_HEAD, *GOOD_LINES[:3], line, *GOOD_LINES[3:]]
     yield [WIDE_HEAD, *WIDE_LINES]
     yield [WIDE_HEAD, *WIDE_LINES, GOOD_LINES[0]]
+    valid = ["L,0,1.0,-2.5", "U,0,0.5,0.25", "U,2,1e-3,-0.0"]
+    yield [f"{head}\x0c{valid[0]}", *valid[1:]]  # a row that only splitlines splits off the header
+    for line in EDGE_LINES:
+        yield [head, *valid[:2], line, *valid[2:]]
+        yield [HUGE_HEAD, *valid[:2], line, *valid[2:]]
 
 
-@pytest.mark.parametrize("chunk", [data.CHUNK_LINES, 2])
-def test_loader_matches_per_line_reference(chunk, tmp_path, monkeypatch):
-    # a small chunk puts the faults of one file in different chunks
-    monkeypatch.setattr(data, "CHUNK_LINES", chunk)
+def files_bytes(lines):
+    """A file's lines as written, with blank lines between them, and without the final newline."""
+    yield ("\n".join(lines) + "\n").encode()
+    yield ("\n\n".join(lines) + "\n\n").encode()
+    yield "\n".join(lines).encode()
+
+
+def alphabet_mutations(blob, rng):
+    """Substitutions, insertions and deletions of the writer's own bytes in the data lines."""
+    alphabet = np.frombuffer(data.WRITER_ALPHABET, dtype=np.uint8)
+    body = blob.index(b"\n") + 1
+    for _ in range(3 * CASES):
+        mutated = bytearray(blob)
+        for _ in range(int(rng.integers(1, 4))):
+            pos, byte = int(rng.integers(body, len(mutated))), int(rng.choice(alphabet))
+            edit = int(rng.integers(0, 3))
+            if edit == 0:
+                mutated[pos] = byte
+            elif edit == 1:
+                mutated.insert(pos, byte)
+            else:
+                del mutated[pos]
+        yield bytes(mutated)
+
+
+@pytest.mark.parametrize("route", ["c-reader", "per-line"])
+def test_loader_matches_per_line_reference(route, tmp_path, monkeypatch):
+    read_c, decided = data._read_c, []
+
+    def counted_read_c(*args):
+        parsed = read_c(*args) if route == "c-reader" else None
+        decided.append(parsed is not None)
+        return parsed
+
+    monkeypatch.setattr(data, "_read_c", counted_read_c)
     path = str(tmp_path / "dataset")
     write_dataset(path)
     with open(path, "rb") as fh:
         blob = fh.read()
     variants = list(corruptions(blob, np.random.default_rng(7)))
-    variants += [("\n".join(lines) + "\n").encode() for lines in multi_fault_files()]
+    variants += alphabet_mutations(blob, np.random.default_rng(8))
+    variants += [v for lines in multi_fault_files() for v in files_bytes(lines)]
     loaded = 0
     for variant in variants:
         with open(path, "wb") as fh:
@@ -180,3 +241,6 @@ def test_loader_matches_per_line_reference(chunk, tmp_path, monkeypatch):
             assert got == want, variant
         loaded += isinstance(want, data.Dataset)
     assert 0 < loaded < len(variants)
+    # a fair share for the C reader: most variants are faulty, and it decides over half as
+    # many as load
+    assert sum(decided) > loaded / 2 if route == "c-reader" else not any(decided)
