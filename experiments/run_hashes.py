@@ -22,7 +22,8 @@ running this copy with PYTHONPATH pointing at the parent's src/.
 
 BLAS threading is pinned to one thread before numpy loads, because a
 multi-threaded BLAS may sum in a different order from run to run. All 14
-runs, both reports and the three loads take about 25 s on a 2-core Xeon.
+runs, both reports and the three loads take 25-35 s on a shared 2-core
+Xeon, depending on its load.
 """
 
 from __future__ import annotations

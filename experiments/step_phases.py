@@ -11,8 +11,10 @@ The data is SplitSpec(seed) and the config the default RunConfig. The
 model is pretrained on the default schedule, gets its new head and then
 clusters for a few epochs, so that anchors exist for the anchor half of
 the mixed batch. The clustering step is timed unfrozen with both mixing
-sources on, as in most of a default run. Every repeat takes a real
-optimizer step, so the parameters drift a little, as in training.
+sources on, as in most of a default run. Both backward phases add into
+the optimizer's gradient buffer, so the mixed rows' backward includes the
+sum of the two gradients. Every repeat takes a real optimizer step, so
+the parameters drift a little, as in training.
 
 BLAS threading is pinned to one thread before numpy loads. The whole run
 takes about 3 s on a 2-core Xeon.
@@ -75,9 +77,9 @@ def pretrain_steps(model, labeled, cfg: RunConfig, repeats: int) -> Clock:
         loss, g_l = losses.cross_entropy(z_l, y)
         train._check_finite(loss, "cross-entropy loss", 1)
         clock.lap("loss (cross-entropy)")
-        grads = nn.backward(model, x, acts, g_l, None)
+        nn.backward(model, x, acts, g_l, None, opt.grad)
         clock.lap("backward")
-        opt.step(model, grads)
+        opt.step(model)
         clock.lap("optimizer step")
     return clock
 
@@ -112,20 +114,19 @@ def cluster_steps(model, ds: data.Dataset, cfg: RunConfig, repeats: int) -> Cloc
         train._check_finite(pll, "pseudo-label loss", 1)
         g_zu = g_ppl + cfg.lambda1 * g_pll
         clock.lap("loss (PPL+PLL)")
-        grads = nn.backward(model, x, [a[:n] for a in acts], None, g_zu)
+        nn.backward(model, x, [a[:n] for a in acts], None, g_zu, opt.grad)
         clock.lap("backward, unlabeled rows")
         v = mixing.mixed_labels(mixed, nn.softmax(z_u[rows.stop :]))
         clock.lap("mixed labels")
         opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l[rows], z_u[rows], v)
         train._check_finite(opm, "mixing loss", 1)
         clock.lap("loss (OPM)")
-        grads_m = nn.backward(
-            model, mixed.m, [a[rows] for a in acts], cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m
+        nn.backward(
+            model, mixed.m, [a[rows] for a in acts],
+            cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m, opt.grad,
         )
         clock.lap("backward, mixed rows")
-        nn.add_scaled_(grads, grads_m)
-        clock.lap("gradient sum")
-        opt.step(model, grads)
+        opt.step(model)
         clock.lap("optimizer step")
     return clock
 

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .fileio import write_atomic
-from .nn import Affine, TwoHeadMLP, assemble, iter_params, layer_shapes, parameter_count
+from .nn import TwoHeadMLP, iter_params, layer_shapes, on_flat, parameter_count
 
 MAGIC = b"OMX1"
 
@@ -62,14 +62,4 @@ def load_checkpoint(path: str) -> TwoHeadMLP:
     flat = np.frombuffer(blob, dtype="<f8", offset=off)
     if not np.isfinite(flat).all():
         raise CheckpointError(f"{path}: non-finite parameter")
-
-    pos = 0
-
-    def take(a: int, b: int) -> Affine:
-        nonlocal pos
-        w = flat[pos : pos + a * b].reshape(a, b)
-        bias = flat[pos + a * b : pos + (a + 1) * b]
-        pos += (a + 1) * b
-        return Affine(w.astype(np.float64), bias.astype(np.float64))
-
-    return assemble(shapes, take)
+    return on_flat(shapes, flat.astype(np.float64))

@@ -114,6 +114,12 @@ def assemble(shapes: list[tuple[int, int]], make_affine) -> TwoHeadMLP:
     return TwoHeadMLP(layers[:-2], layers[-2], layers[-1])
 
 
+def on_flat(shapes: list[tuple[int, int]], flat: np.ndarray) -> TwoHeadMLP:
+    """A model whose parameters are views of flat: w then b for each layer of shapes in order."""
+    parts = iter(np.split(flat, np.cumsum([n for a, b in shapes for n in (a * b, b)])[:-1]))
+    return assemble(shapes, lambda a, b: Affine(next(parts).reshape(a, b), next(parts)))
+
+
 def init_model(
     input_dim: int,
     hidden_dims: list[int],
@@ -202,48 +208,52 @@ def backward(
     acts: list[np.ndarray],
     grad_z_l: np.ndarray | None,
     grad_z_u: np.ndarray | None,
+    grads: TwoHeadMLP,
     freeze_backbone: bool = False,
-) -> TwoHeadMLP:
-    """Gradients of sum(grad_z_l * z_l) + sum(grad_z_u * z_u) w.r.t. all parameters.
+) -> None:
+    """Add the gradients of sum(grad_z_l * z_l) + sum(grad_z_u * z_u) into grads.
 
-    acts are the activations forward() returned for this batch. Returns a
-    TwoHeadMLP-shaped container holding one gradient array per parameter.
-    A None upstream gradient marks a silent head: it gets zero gradients
-    and costs no matmul.
-    With freeze_backbone the backbone part is skipped and its gradients are
-    zeros; the head gradients are the same either way.
+    acts are the activations forward() returned for this batch; grads holds
+    one array per parameter of the model, such as RmspropState.grad. A None
+    upstream gradient marks a silent head: it adds nothing and costs no
+    matmul. With freeze_backbone the backbone part is skipped and adds
+    nothing; the head gradients are the same either way.
     """
     x = np.asarray(batch, dtype=np.float64)
     n = x.shape[0]
     if len(acts) != len(model.backbone) or acts[-1].shape != (n, model.feature_dim):
         raise ValueError("activations do not match the model and batch")
-    feats = acts[-1]
-    d_heads, d_h = [], None
-    for head, g in ((model.old_head, grad_z_l), (model.new_head, grad_z_u)):
-        if g is None:  # silent: zero gradients and nothing sent back
-            d_heads.append(Affine(np.zeros_like(head.w), np.zeros_like(head.b)))
-            continue
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (n, head.fan_out):
-            raise ValueError("upstream gradient shapes do not match head outputs")
-        d_heads.append(Affine(feats.T @ g, g.sum(axis=0)))
+    if [p.shape for _, p in iter_params(grads)] != [p.shape for _, p in iter_params(model)]:
+        raise ValueError("gradient store does not match the model")
+    heads = [
+        (head, store, np.asarray(g, dtype=np.float64))
+        for head, store, g in (
+            (model.old_head, grads.old_head, grad_z_l),
+            (model.new_head, grads.new_head, grad_z_u),
+        )
+        if g is not None
+    ]
+    if any(g.shape != (n, head.fan_out) for head, _, g in heads):
+        raise ValueError("upstream gradient shapes do not match head outputs")
+    feats, d_h = acts[-1], None
+    for head, store, g in heads:
+        store.w += feats.T @ g
+        store.b += g.sum(axis=0)
         if not freeze_backbone:
             d_h = g @ head.w.T if d_h is None else d_h + g @ head.w.T
     if d_h is None:  # frozen, or both heads silent
-        zeros = [Affine(np.zeros_like(a.w), np.zeros_like(a.b)) for a in model.backbone]
-        return TwoHeadMLP(zeros, *d_heads)
+        return
 
-    d_backbone: list[Affine] = [None] * len(model.backbone)  # type: ignore[list-item]
     last = len(model.backbone) - 1
     for i in range(last, -1, -1):
         if i < last:
             # ReLU only sits between backbone affines, not after the feature
             d_h = d_h * (acts[i] > 0.0)
         h_prev = x if i == 0 else acts[i - 1]
-        d_backbone[i] = Affine(h_prev.T @ d_h, d_h.sum(axis=0))
+        grads.backbone[i].w += h_prev.T @ d_h
+        grads.backbone[i].b += d_h.sum(axis=0)
         if i > 0:  # the input needs no gradient
             d_h = d_h @ model.backbone[i].w.T
-    return TwoHeadMLP(d_backbone, *d_heads)
 
 
 def iter_params(model: TwoHeadMLP):
@@ -255,9 +265,3 @@ def iter_params(model: TwoHeadMLP):
     yield "old_head.b", model.old_head.b
     yield "new_head.w", model.new_head.w
     yield "new_head.b", model.new_head.b
-
-
-def add_scaled_(dst: TwoHeadMLP, src: TwoHeadMLP, scale: float = 1.0) -> None:
-    """In-place dst += scale * src over all parameter arrays."""
-    for (_, d), (_, s) in zip(iter_params(dst), iter_params(src)):
-        d += s if scale == 1.0 else scale * s

@@ -90,8 +90,8 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
             acts, z_l, _ = finite_logits(nn.forward(model, x), "labeled-batch", epoch)
             loss, g_l = losses.cross_entropy(z_l, onehot[idx])
             _check_finite(loss, "cross-entropy loss", epoch)
-            grads = nn.backward(model, x, acts, g_l, None)
-            opt.step(model, grads)
+            nn.backward(model, x, acts, g_l, None, opt.grad)
+            opt.step(model)
     z_l, _ = finite_logits(nn.logits(model, labeled.x), "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
 
@@ -123,9 +123,9 @@ def cluster_train(
     per step serves all three: the batch, the mixed batch and the mixed
     batch's unlabeled rows, stacked. The pool is scored by nn.logits once
     before the first epoch and once after each, for that epoch's evaluation
-    and the next epoch's anchors and their accuracy. The old head is silent
-    in the unlabeled batch's backward, and backbone gradients are zero while
-    epoch <= freeze_epochs.
+    and the next epoch's anchors and their accuracy. Both backwards add into
+    opt.grad; the old head is silent in the unlabeled batch's, and the
+    backbone gets nothing while epoch <= freeze_epochs.
     """
     labeled, unlabeled, truth = dataset.labeled, dataset.unlabeled, dataset.truth
     if len(unlabeled) < 2:
@@ -191,7 +191,7 @@ def cluster_train(
             _check_finite(ppl, "pairwise similarity loss", epoch)
             _check_finite(pll, "pseudo-label loss", epoch)
             g_zu = g_ppl + cfg.lambda1 * g_pll
-            grads = nn.backward(model, x, [a[:n] for a in acts], None, g_zu, freeze_backbone=frozen)
+            nn.backward(model, x, [a[:n] for a in acts], None, g_zu, opt.grad, frozen)
 
             if mix_active:
                 rows = slice(n, n + cfg.batch_mixed)
@@ -199,15 +199,13 @@ def cluster_train(
                 v = mixing.mixed_labels(mixed, nn.softmax(z_u[rows.stop :]))
                 opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l[rows], z_u[rows], v)
                 _check_finite(opm, "mixing loss", epoch)
-                grads_m = nn.backward(
+                nn.backward(
                     model, mixed.m, [a[rows] for a in acts],
-                    cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m,
-                    freeze_backbone=frozen,
+                    cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m, opt.grad, frozen,
                 )
-                nn.add_scaled_(grads, grads_m)
                 opm_sum += opm
 
-            opt.step(model, grads)
+            opt.step(model)
             ppl_sum += ppl
             pll_sum += pll
             n_batches += 1

@@ -172,6 +172,13 @@ def test_logits_close_to_forward_at_other_widths():
     np.testing.assert_allclose(got_u, z_u, rtol=1e-12, atol=1e-12)
 
 
+def _grads(m, x, gl, gu, frozen=False, grads=None):
+    # backward into a zeroed store of m's geometry, or into grads
+    grads = zeros_like_model(m) if grads is None else grads
+    nn.backward(m, x, nn.forward(m, x)[0], gl, gu, grads, freeze_backbone=frozen)
+    return grads
+
+
 def test_backward_matches_finite_difference_over_params():
     rng = np.random.default_rng(5)
     for trial in range(3):
@@ -179,7 +186,7 @@ def test_backward_matches_finite_difference_over_params():
         x = rng.normal(size=(4, 6))
         gl = rng.normal(size=(4, 2))
         gu = rng.normal(size=(4, 3))
-        grads = nn.backward(m, x, nn.forward(m, x)[0], gl, gu)
+        grads = _grads(m, x, gl, gu)
 
         def loss_at(flat):
             pos = 0
@@ -198,10 +205,33 @@ def test_backward_rejects_mismatched_upstream():
     m = tiny_model()
     x = np.zeros((2, 6))
     acts = nn.forward(m, x)[0]
-    with pytest.raises(ValueError):
-        nn.backward(m, x, acts, np.zeros((2, 3)), np.zeros((2, 3)))
+    grads = zeros_like_model(m)
+    with pytest.raises(ValueError, match="upstream"):
+        nn.backward(m, x, acts, np.zeros((2, 3)), np.zeros((2, 3)), grads)
+    # the old head's gradient fits, the new head's does not: nothing is added
+    with pytest.raises(ValueError, match="upstream"):
+        nn.backward(m, x, acts, np.ones((2, 2)), np.ones((2, 4)), grads)
+    assert not model_params_flat(grads).any()
     with pytest.raises(ValueError, match="activations"):
-        nn.backward(m, x, nn.forward(m, np.zeros((3, 6)))[0], np.zeros((2, 2)), np.zeros((2, 3)))
+        nn.backward(
+            m, x, nn.forward(m, np.zeros((3, 6)))[0], np.zeros((2, 2)), np.zeros((2, 3)), grads
+        )
+
+
+@pytest.mark.parametrize("store", ["wider new head", "other backbone", "width-1 store"])
+def test_backward_rejects_a_store_of_another_geometry(store):
+    # a width-1 new head's (5, 1) gradient would broadcast into a (5, 3) store
+    m = tiny_model(c_u=1) if store == "width-1 store" else tiny_model()
+    other = {
+        "wider new head": tiny_model(c_u=4),
+        "other backbone": tiny_model(hidden=(4, 4)),
+        "width-1 store": tiny_model(),
+    }[store]
+    x = np.ones((3, 6))
+    grads = zeros_like_model(other)
+    with pytest.raises(ValueError, match="gradient store"):
+        _grads(m, x, np.ones((3, 2)), np.ones((3, m.c_u)), grads=grads)
+    assert not model_params_flat(grads).any()
 
 
 @pytest.mark.parametrize("hidden", [(), (32,)])
@@ -215,9 +245,8 @@ def test_backward_silent_head_equals_explicit_zeros(hidden, frozen, silent):
         args, zero_args = (None, gu), (np.zeros_like(gl), gu)
     else:
         args, zero_args = (gl, None), (gl, np.zeros_like(gu))
-    acts = nn.forward(m, x)[0]
-    got = nn.backward(m, x, acts, *args, freeze_backbone=frozen)
-    want = nn.backward(m, x, acts, *zero_args, freeze_backbone=frozen)
+    got = _grads(m, x, *args, frozen=frozen)
+    want = _grads(m, x, *zero_args, frozen=frozen)
     assert model_params_flat(got).tobytes() == model_params_flat(want).tobytes()
     quiet = got.old_head if silent == "old" else got.new_head
     assert not quiet.w.any() and not quiet.b.any()
@@ -225,10 +254,55 @@ def test_backward_silent_head_equals_explicit_zeros(hidden, frozen, silent):
 
 def test_backward_both_heads_silent_is_all_zeros():
     m = tiny_model()
-    x = np.ones((3, 6))
-    got = nn.backward(m, x, nn.forward(m, x)[0], None, None)
+    got = _grads(m, np.ones((3, 6)), None, None)
     assert not model_params_flat(got).any()
     assert model_params_flat(got).size == model_params_flat(m).size
+
+
+def test_frozen_backward_adds_only_the_head_gradients():
+    m = tiny_model()
+    rng = np.random.default_rng(6)
+    x, gl, gu = rng.normal(size=(5, 6)), rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
+    full = _grads(m, x, gl, gu)
+    frozen = _grads(m, x, gl, gu, frozen=True)
+    for layer in frozen.backbone:
+        assert layer.w.tobytes() == np.zeros_like(layer.w).tobytes()
+        assert layer.b.tobytes() == np.zeros_like(layer.b).tobytes()
+    for head in ("old_head", "new_head"):
+        assert getattr(frozen, head).w.tobytes() == getattr(full, head).w.tobytes()
+        assert getattr(frozen, head).b.tobytes() == getattr(full, head).b.tobytes()
+    assert frozen.old_head.w.any()
+    assert all(layer.w.any() for layer in full.backbone)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_two_backwards_into_one_store_equal_separate_stores_summed(frozen):
+    m = tiny_model(seed=4, hidden=(4, 7))
+    rng = np.random.default_rng(7)
+    x, x_m = rng.normal(size=(6, 6)), rng.normal(size=(9, 6))
+    gu, gl_m, gu_m = rng.normal(size=(6, 3)), rng.normal(size=(9, 2)), rng.normal(size=(9, 3))
+    one = _grads(m, x, None, gu, frozen)
+    _grads(m, x_m, gl_m * 1e3, gu_m * 1e3, frozen, grads=one)
+    first = _grads(m, x, None, gu, frozen)
+    second = _grads(m, x_m, gl_m * 1e3, gu_m * 1e3, frozen)
+    for (_, a), (_, b) in zip(nn.iter_params(first), nn.iter_params(second)):
+        a += b
+    assert model_params_flat(one).tobytes() == model_params_flat(first).tobytes()
+
+
+def test_on_flat_views_in_parameter_order():
+    shapes = nn.layer_shapes(6, [4, 7], 5, 2, 3)
+    flat = np.arange(float(nn.parameter_count(6, [4, 7], 5, 2, 3)))
+    m = nn.on_flat(shapes, flat)
+    params = [p for _, p in nn.iter_params(m)]
+    like = tiny_model(hidden=(4, 7))
+    assert [p.shape for p in params] == [p.shape for _, p in nn.iter_params(like)]
+    # iter_params order, which is the checkpoint's order, walks flat from start to end
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), flat)
+    for p in params:
+        assert np.shares_memory(p, flat) and p.flags.writeable
+    m.new_head.b[...] = -1.0
+    assert (flat[-3:] == -1.0).all()
 
 
 def test_iter_params_order():
@@ -244,28 +318,3 @@ def test_iter_params_order():
         "new_head.w",
         "new_head.b",
     ]
-
-
-def test_zeros_like_add_scaled_zero_backbone():
-    m = tiny_model()
-    z = zeros_like_model(m)
-    assert all(np.all(p == 0) for _, p in nn.iter_params(z))
-    nn.add_scaled_(z, m, 2.0)
-    np.testing.assert_array_equal(model_params_flat(z), 2.0 * model_params_flat(m))
-    before = model_params_flat(z)
-    nn.add_scaled_(z, m)
-    np.testing.assert_array_equal(model_params_flat(z), before + model_params_flat(m))
-    # a frozen backward returns zero backbone gradients and the full backward's heads
-    rng = np.random.default_rng(6)
-    x, gl, gu = rng.normal(size=(5, 6)), rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
-    acts = nn.forward(m, x)[0]
-    full = nn.backward(m, x, acts, gl, gu)
-    frozen = nn.backward(m, x, acts, gl, gu, freeze_backbone=True)
-    for l, f in zip(frozen.backbone, full.backbone):
-        assert l.w.tobytes() == np.zeros_like(f.w).tobytes()
-        assert l.b.tobytes() == np.zeros_like(f.b).tobytes()
-    for head in ("old_head", "new_head"):
-        assert getattr(frozen, head).w.tobytes() == getattr(full, head).w.tobytes()
-        assert getattr(frozen, head).b.tobytes() == getattr(full, head).b.tobytes()
-    assert not np.all(frozen.old_head.w == 0)
-    assert not all(np.all(l.w == 0) for l in full.backbone)

@@ -317,7 +317,8 @@ def cluster_train(model, dataset, cfg):
                 grads_m = backward(
                     model, m, acts_m, cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m
                 )
-                nn.add_scaled_(grads, grads_m)
+                for (_, d), (_, s) in zip(iter_params(grads), iter_params(grads_m)):
+                    d += s
                 opm_sum += opm
 
             if epoch <= cfg.freeze_epochs:
