@@ -1,23 +1,20 @@
-"""Median time of each phase of one training step at the default geometry.
+"""Median time of each phase of a training step, timed inside the trainer.
 
-Runs one pretrain step and one mixed clustering step phase by phase, in
-the order and with the calls that train.pretrain and train.cluster_train
-make, and prints the median microseconds of each phase over the repeats.
-Last comes the end-of-epoch scoring of the whole unlabeled pool:
+Runs the real train.pretrain and train.cluster_train with a timer around
+each function in WRAPPED, splits the timed calls into steps at each optimizer
+step and prints the median microseconds of each phase: of a pretrain step, of
+a mixed clustering step (its "backward, call 2" is the mixed rows') and of the
+calls between clustering epochs. "trainer's own" is the time of a step that
+no timed call covers: gathers, stacking, slicing and finiteness checks.
 
     PYTHONPATH=src python3 experiments/step_phases.py [--repeats 400] [--seed 0]
 
-The data is SplitSpec(seed) and the config the default RunConfig. The
-model is pretrained on the default schedule, gets its new head and then
-clusters for a few epochs, so that anchors exist for the anchor half of
-the mixed batch. The clustering step is timed unfrozen with both mixing
-sources on, as in most of a default run. Both backward phases add into
-the optimizer's gradient buffer, so the mixed rows' backward includes the
-sum of the two gradients. Every repeat takes a real optimizer step, so
-the parameters drift a little, as in training.
-
-BLAS threading is pinned to one thread before numpy loads. The whole run
-takes about 3 s on a 2-core Xeon.
+Data SplitSpec(seed), config the default RunConfig, pretrain its schedule.
+With its new head the model clusters 10 epochs untimed and unfrozen, so that
+anchors exist, then, timed, the whole epochs that hold --repeats steps,
+unfrozen and mixing with labeled rows and anchors from the first. A wrapped
+function that records no call ends the tool with exit 1 and its name. BLAS
+runs on one thread; the whole run takes about 3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -27,151 +24,124 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
-import dataclasses  # noqa: E402
+import contextlib  # noqa: E402
 import statistics  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
-
-import numpy as np  # noqa: E402
+from dataclasses import replace  # noqa: E402
 
 from openmix import data, losses, mixing, nn, train  # noqa: E402
 from openmix.config import RunConfig  # noqa: E402
 from openmix.optim import RmspropState  # noqa: E402
 
-WARMUP = 20
+# (owner, attribute, phase); the calls of one step that share a phase add up
+WRAPPED = [
+    (mixing, "build_mixed_batch", "mixed-batch build"),
+    (nn, "forward", "forward"),
+    (losses, "cross_entropy", "loss (cross-entropy)"),
+    (losses, "clustering_losses", "loss (PPL+PLL)"),
+    (nn, "backward", "backward"),
+    (nn, "softmax", "mixed labels"),
+    (mixing, "mixed_labels", "mixed labels"),
+    (mixing, "opm_loss", "loss (OPM)"),
+    (RmspropState, "step", "optimizer step"),
+    (mixing, "select_anchors", "anchor refresh"),
+    (nn, "logits", "pool scoring"),
+    (train, "evaluate", "evaluation"),
+]
+PHASE = {f"{owner.__name__.rpartition('.')[2]}.{attr}": p for owner, attr, p in WRAPPED}
+BETWEEN_EPOCHS = ("anchor refresh", "pool scoring", "evaluation")
 
 
-class Clock:
-    """Lap timer: lap(name) books the time since the previous lap under name."""
+@contextlib.contextmanager
+def timed_calls():
+    """Wrap WRAPPED while open; yields the (name, start ns, end ns) of each call.
 
-    def __init__(self) -> None:
-        self.laps: dict[str, list[int]] = {}
-        self._last = 0
+    No wrapped function calls another through its wrapped attribute, so the
+    calls never nest."""
+    calls: list[tuple[str, int, int]] = []
 
-    def start(self) -> None:
-        self._last = time.perf_counter_ns()
+    def wrap(name, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter_ns()
+            out = fn(*args, **kwargs)
+            calls.append((name, t0, time.perf_counter_ns()))
+            return out
 
-    def lap(self, name: str) -> None:
-        now = time.perf_counter_ns()
-        self.laps.setdefault(name, []).append(now - self._last)
-        self._last = now
+        return timed
 
-
-def full_batches(dataset, size: int, seed: int) -> list[np.ndarray]:
-    return [idx for idx in data.batch_iter(dataset, size, seed, 1) if len(idx) == size]
-
-
-def pretrain_steps(model, labeled, cfg: RunConfig, repeats: int) -> Clock:
-    opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
-    onehot = labeled.one_hot()
-    batches = full_batches(labeled, cfg.batch_labeled, cfg.seed)
-    clock = Clock()
-    for r in range(repeats):
-        idx = batches[r % len(batches)]
-        clock.start()
-        x = labeled.x[idx]
-        y = onehot[idx]
-        clock.lap("gather")
-        acts, z_l, _ = train.finite_logits(nn.forward(model, x), "labeled-batch", 1)
-        clock.lap("forward")
-        loss, g_l = losses.cross_entropy(z_l, y)
-        train._check_finite(loss, "cross-entropy loss", 1)
-        clock.lap("loss (cross-entropy)")
-        nn.backward(model, x, acts, g_l, None, opt.grad)
-        clock.lap("backward")
-        opt.step(model)
-        clock.lap("optimizer step")
-    return clock
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in WRAPPED]
+    try:
+        for (owner, attr, fn), name in zip(saved, PHASE):
+            setattr(owner, attr, wrap(name, fn))
+        yield calls
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
 
 
-def cluster_steps(model, ds: data.Dataset, cfg: RunConfig, repeats: int) -> Clock:
-    labeled, unlabeled = ds.labeled, ds.unlabeled
-    opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
-    onehot = labeled.one_hot()
-    _, z_u_pool = train.finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", 1)
-    anchors = mixing.select_anchors(z_u_pool, cfg.theta2)
-    use_anchors = len(anchors) > 0
-    mix_rng = np.random.default_rng([cfg.seed, 1])
-    batches = full_batches(unlabeled, cfg.batch_unlabeled, cfg.seed)
-    rows = slice(cfg.batch_unlabeled, cfg.batch_unlabeled + cfg.batch_mixed)
-    clock = Clock()
-    for r in range(repeats):
-        idx = batches[r % len(batches)]
-        clock.start()
-        x = unlabeled.x[idx]
-        n = x.shape[0]
-        clock.lap("gather")
-        mixed = mixing.build_mixed_batch(
-            cfg.batch_mixed, labeled.x, onehot, unlabeled.x, anchors, cfg.epsilon,
-            mix_rng, use_labeled=True, use_anchors=use_anchors,
-        )
-        stacked = np.concatenate([x, mixed.m, unlabeled.x[mixed.unl_rows]])
-        clock.lap("mixed-batch build")
-        acts, z_l, z_u = train.finite_logits(nn.forward(model, stacked), "unlabeled-batch", 1)
-        clock.lap("forward (stacked)")
-        ppl, g_ppl, pll, g_pll = losses.clustering_losses(z_u[:n], cfg.theta1, cfg.theta2)
-        train._check_finite(ppl, "pairwise similarity loss", 1)
-        train._check_finite(pll, "pseudo-label loss", 1)
-        g_zu = g_ppl + cfg.lambda1 * g_pll
-        clock.lap("loss (PPL+PLL)")
-        nn.backward(model, x, [a[:n] for a in acts], None, g_zu, opt.grad)
-        clock.lap("backward, unlabeled rows")
-        v = mixing.mixed_labels(mixed, nn.softmax(z_u[rows.stop :]))
-        clock.lap("mixed labels")
-        opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l[rows], z_u[rows], v)
-        train._check_finite(opm, "mixing loss", 1)
-        clock.lap("loss (OPM)")
-        nn.backward(
-            model, mixed.m, [a[rows] for a in acts],
-            cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m, opt.grad,
-        )
-        clock.lap("backward, mixed rows")
-        opt.step(model)
-        clock.lap("optimizer step")
-    return clock
+def split_steps(calls) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Per-phase ns of each step that starts after a step or a between-epochs call,
+    and ns of each between-epochs call."""
+    steps, between = [], {p: [] for p in BETWEEN_EPOCHS}
+    step, seen, start = {}, {}, None
+    for name, t0, t1 in calls:
+        phase = PHASE[name]
+        if phase in BETWEEN_EPOCHS:
+            between[phase].append(t1 - t0)
+            start = t1
+            continue
+        seen[name] = k = seen.get(name, 0) + 1
+        phase += f", call {k}" if k > 1 else ""
+        step[phase] = step.get(phase, 0) + t1 - t0
+        if name == "RmspropState.step":
+            if start is not None:
+                step["trainer's own"] = t1 - start - sum(step.values())
+                steps.append(step)
+            step, seen, start = {}, {}, t1
+    columns = {p: [s.get(p, 0) for s in steps] for p in dict.fromkeys(p for s in steps for p in s)}
+    return {**columns, "whole step": [sum(s.values()) for s in steps]}, between
 
 
-def pool_scoring(model, unlabeled, repeats: int) -> Clock:
-    clock = Clock()
-    for _ in range(repeats):
-        clock.start()
-        train.finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", 1)
-        clock.lap(f"pool scoring ({len(unlabeled)} rows)")
-    return clock
+def report(title: str, columns: dict[str, list[int]], unit: str = "steps") -> None:
+    print(f"{title}: median us per phase over {min(map(len, columns.values()))} {unit}")
+    for phase, ns in columns.items():
+        print(f"  {phase:<26}{statistics.median(ns) / 1e3:9.1f}")
 
 
-def report(title: str, clock: Clock) -> None:
-    laps = {name: ns[WARMUP:] for name, ns in clock.laps.items()}
-    steps = len(next(iter(laps.values())))
-    print(f"{title}: median us per phase over {steps} steps")
-    for name, ns in laps.items():
-        print(f"  {name:<26}{statistics.median(ns) / 1e3:9.1f}")
-    if len(laps) > 1:
-        totals = [sum(step) for step in zip(*laps.values())]
-        print(f"  {'whole step':<26}{statistics.median(totals) / 1e3:9.1f}")
-
-
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--repeats", type=int, default=400)
+    ap.add_argument("--repeats", type=int, default=400, help="least number of mixed steps timed")
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    if args.repeats <= WARMUP:
-        ap.error(f"--repeats must exceed the {WARMUP} warm-up steps")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
 
     ds = data.generate_blobs(data.SplitSpec(seed=args.seed))
     cfg = RunConfig(seed=args.seed).validate()
     model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
-    train.pretrain(model, ds.labeled, cfg)
-    report("pretrain step", pretrain_steps(model, ds.labeled, cfg, args.repeats))
+    with timed_calls() as pretrain_calls:
+        train.pretrain(model, ds.labeled, cfg)
 
     train.attach_new_head(model, ds.c_u, train.stream_seed(cfg.seed, train.TAG_HEAD))
-    warm = dataclasses.replace(cfg, cluster_epochs=10, freeze_epochs=0)
+    epochs = -(-args.repeats // -(-len(ds.unlabeled) // cfg.batch_unlabeled))
+    warm = replace(cfg, cluster_epochs=10, freeze_epochs=0)
+    mixed = replace(warm, cluster_epochs=epochs, labeled_mix_epoch=1, anchor_mix_epoch=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         train.cluster_train(model, ds, warm)
-    report("mixed clustering step", cluster_steps(model, ds, cfg, args.repeats))
-    report("pool scoring", pool_scoring(model, ds.unlabeled, args.repeats))
+        with timed_calls() as cluster_calls:
+            train.cluster_train(model, ds, mixed)
+
+    called = {name for name, _, _ in pretrain_calls + cluster_calls}
+    missing = [f"{name} ({phase})" for name, phase in PHASE.items() if name not in called]
+    if missing:
+        sys.exit(f"step_phases: no call recorded for {', '.join(missing)}")
+    report("pretrain step", split_steps(pretrain_calls)[0])
+    cluster_steps, between = split_steps(cluster_calls)
+    report("mixed clustering step", cluster_steps)
+    report("between clustering epochs", between, "epochs")
 
 
 if __name__ == "__main__":

@@ -100,8 +100,6 @@ class RunConfig:
     lambda2: float = 1000.0
     epsilon: float = 1.0
     lr: float = 0.0001
-    rmsprop_rho: float = 0.9
-    rmsprop_eps: float = 1e-8
     batch_labeled: int = 64
     batch_unlabeled: int = 64
     batch_mixed: int = 64
@@ -133,10 +131,6 @@ class RunConfig:
             raise ConfigError("epsilon must be > 0")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
-        if not 0.0 <= self.rmsprop_rho < 1.0:
-            raise ConfigError("rmsprop_rho must be in [0, 1)")
-        if self.rmsprop_eps <= 0:
-            raise ConfigError("rmsprop_eps must be > 0")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_mixed) < 1:
             raise ConfigError("batch sizes must be >= 1")
         if self.batch_mixed > MAX_BATCH_MIXED:

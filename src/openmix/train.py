@@ -81,7 +81,7 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
     """
     if len(labeled) == 0:
         raise ValueError("labeled set is empty")
-    opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
+    opt = RmspropState(model, cfg.lr)
     onehot = labeled.one_hot()
     seed = stream_seed(cfg.seed, TAG_STAGE1)
     for epoch in range(1, cfg.pretrain_epochs + 1):
@@ -92,6 +92,8 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
             _check_finite(loss, "cross-entropy loss", epoch)
             nn.backward(model, x, acts, g_l, None, opt.grad)
             opt.step(model)
+        # an overflowed moment would silently freeze its parameter: g / inf = 0
+        _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
     z_l, _ = finite_logits(nn.logits(model, labeled.x), "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
 
@@ -130,7 +132,7 @@ def cluster_train(
     labeled, unlabeled, truth = dataset.labeled, dataset.unlabeled, dataset.truth
     if len(unlabeled) < 2:
         raise ValueError("clustering needs at least 2 unlabeled examples")
-    opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
+    opt = RmspropState(model, cfg.lr)
     onehot = labeled.one_hot()
     batch_seed = stream_seed(cfg.seed, TAG_STAGE2)
     mix_seed = stream_seed(cfg.seed, TAG_MIX)
@@ -209,6 +211,7 @@ def cluster_train(
             ppl_sum += ppl
             pll_sum += pll
             n_batches += 1
+        _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
 
         _, z_u_pool = finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", epoch)
         epoch_acc, epoch_nmi, pool_hits = evaluate(

@@ -241,6 +241,21 @@ def test_divergence_exits_3(pipeline, tmp_path, capsys):
     assert not (tmp_path / cli.PRETRAIN_FILE).exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_second_moments_exit_3(pipeline, tmp_path, capsys):
+    # squared mixing gradients overflow the RMSprop moments to inf, whose
+    # parameters would then take g / inf = 0 updates and silently stop
+    rc = cli.main([
+        "cluster", "--config", str(pipeline.cfg),
+        "--checkpoint", str(pipeline.root / "out" / cli.PRETRAIN_FILE),
+        "--set", "lambda2=1e160", "--set", f"out_dir={tmp_path}",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: RMSprop second moments became non-finite at epoch 2")
+    assert not (tmp_path / cli.MODEL_FILE).exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = cli.main(["pretrain", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2
@@ -255,7 +270,15 @@ def test_missing_dataset_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("i/o error:")
 
 
-@pytest.mark.parametrize("key,value", [("opm_softmax", "joint"), ("anchor_labels", "onehot")])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("opm_softmax", "joint"),
+        ("anchor_labels", "onehot"),
+        ("rmsprop_rho", "0.9"),
+        ("rmsprop_eps", "1e-8"),
+    ],
+)
 def test_removed_config_key_exits_2(key, value, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n", encoding="utf-8")

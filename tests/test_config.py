@@ -137,11 +137,6 @@ def test_validate_rejects(field, value):
         (RunConfig, "lambda1", float("nan")),
         (RunConfig, "lambda2", float("nan")),
         (RunConfig, "epsilon", float("inf")),
-        (RunConfig, "rmsprop_rho", float("nan")),
-        (RunConfig, "rmsprop_rho", 1.0),
-        (RunConfig, "rmsprop_rho", -0.1),
-        (RunConfig, "rmsprop_eps", -1.0),
-        (RunConfig, "rmsprop_eps", 0.0),
         (SplitSpec, "separation", float("nan")),
         (SplitSpec, "sigma", float("inf")),
         (RunConfig, "seed", -1),

@@ -74,10 +74,9 @@ def test_validation():
     m = tiny_model()
     with pytest.raises(ValueError):
         RmspropState(m, lr=0.0, rho=0.9, eps=1e-8)
-    with pytest.raises(ValueError):
-        RmspropState(m, lr=0.1, rho=1.0, eps=1e-8)
-    with pytest.raises(ValueError):
-        RmspropState(m, lr=0.1, rho=-0.1, eps=1e-8)
+    for bad in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="rho"):
+            RmspropState(m, lr=0.1, rho=bad, eps=1e-8)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning rate"):
             RmspropState(m, lr=bad, rho=0.9, eps=1e-8)

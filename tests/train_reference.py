@@ -200,7 +200,7 @@ def _forward(model, x, component, epoch):
 
 
 def pretrain(model, labeled, cfg):
-    opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
+    opt = RmspropState(model, cfg.lr, 0.9, 1e-8)
     onehot = labeled.one_hot()
     seed = stream_seed(cfg.seed, TAG_STAGE1)
     for epoch in range(1, cfg.pretrain_epochs + 1):
@@ -252,7 +252,7 @@ def cluster_train(model, dataset, cfg):
     if len(unlabeled) < 2:
         raise ValueError("clustering needs at least 2 unlabeled examples")
     c_u = model.c_u
-    opt = RmspropState(model, cfg.lr, cfg.rmsprop_rho, cfg.rmsprop_eps)
+    opt = RmspropState(model, cfg.lr, 0.9, 1e-8)
     onehot = labeled.one_hot()
     batch_seed = stream_seed(cfg.seed, TAG_STAGE2)
     mix_seed = stream_seed(cfg.seed, TAG_MIX)
