@@ -33,7 +33,7 @@ def save_checkpoint(path: str, model: TwoHeadMLP) -> None:
     ]
     blob = bytearray(MAGIC)
     blob += struct.pack(f"<{len(header)}I", *header)
-    for _, p in iter_params(model):
+    for p in iter_params(model):
         blob += np.ascontiguousarray(p, dtype="<f8").tobytes()
     write_atomic(path, bytes(blob))
 

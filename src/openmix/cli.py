@@ -58,6 +58,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence check names the overflow
 def _cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config, args.set)
     ds = _load_data(cfg.data_dir)
@@ -71,6 +72,7 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence check names the overflow
 def _cmd_cluster(args) -> int:
     cfg = load_run_config(args.config, args.set)
     ds = _load_data(cfg.data_dir)
@@ -91,6 +93,7 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence check names the overflow
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ds = _load_data(args.data)

@@ -92,20 +92,17 @@ def assignment_solver(score: np.ndarray) -> np.ndarray:
     return np.array(col4row, dtype=np.int64)
 
 
-def best_map_hits(
-    pred: np.ndarray, truth: np.ndarray, num_classes: int | None = None
-) -> np.ndarray:
+def best_map_hits(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> np.ndarray:
     """Per row, whether its cluster maps to its class under the best relabeling."""
     pred, truth = _check_pair(pred, truth)
-    k = int(max(pred.max(), truth.max())) + 1 if num_classes is None else num_classes
-    if pred.max() >= k or truth.max() >= k:
+    if pred.max() >= num_classes or truth.max() >= num_classes:
         raise ValueError("index out of range")
-    table = contingency(pred, truth, k)
+    table = contingency(pred, truth, num_classes)
     perm = assignment_solver(table.astype(np.float64))
     return perm[pred] == truth
 
 
-def acc(pred: np.ndarray, truth: np.ndarray, num_classes: int | None = None) -> float:
+def acc(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> float:
     """Clustering accuracy: best fraction correct over cluster relabelings."""
     return float(best_map_hits(pred, truth, num_classes).mean())
 

@@ -92,7 +92,7 @@ def build_mixed_batch(
     labeled_x: np.ndarray,
     labeled_onehot: np.ndarray,
     unlabeled_x: np.ndarray,
-    anchors: AnchorSet | None,
+    anchors: AnchorSet,
     epsilon: float,
     rng: np.random.Generator,
     use_labeled: bool,
@@ -116,7 +116,7 @@ def build_mixed_batch(
         raise ValueError("batch size must be >= 1")
     if not use_labeled and not use_anchors:
         raise ValueError("at least one mixing source must be active")
-    if use_anchors and (anchors is None or len(anchors) == 0):
+    if use_anchors and len(anchors) == 0:
         raise ValueError("anchor mixing requested with an empty anchor set")
     if labeled_x.shape[1] != unlabeled_x.shape[1]:
         raise ValueError("feature dimensions differ")

@@ -223,7 +223,7 @@ def backward(
     n = x.shape[0]
     if len(acts) != len(model.backbone) or acts[-1].shape != (n, model.feature_dim):
         raise ValueError("activations do not match the model and batch")
-    if [p.shape for _, p in iter_params(grads)] != [p.shape for _, p in iter_params(model)]:
+    if [p.shape for p in iter_params(grads)] != [p.shape for p in iter_params(model)]:
         raise ValueError("gradient store does not match the model")
     heads = [
         (head, store, np.asarray(g, dtype=np.float64))
@@ -257,11 +257,7 @@ def backward(
 
 
 def iter_params(model: TwoHeadMLP):
-    """Yield (name, array) for every parameter, in checkpoint declaration order."""
-    for i, layer in enumerate(model.backbone):
-        yield f"backbone.{i}.w", layer.w
-        yield f"backbone.{i}.b", layer.b
-    yield "old_head.w", model.old_head.w
-    yield "old_head.b", model.old_head.b
-    yield "new_head.w", model.new_head.w
-    yield "new_head.b", model.new_head.b
+    """Yield every parameter array, in checkpoint declaration order: w then b per layer."""
+    for layer in (*model.backbone, model.old_head, model.new_head):
+        yield layer.w
+        yield layer.b

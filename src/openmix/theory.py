@@ -151,6 +151,7 @@ def worked_counterexample() -> ErrorCase:
 # 160 KB. Timed from 1024 to 16384 rows, 1024 and 2048 were fastest and
 # 16384 about 25% slower: larger blocks pay for fresh pages on every temporary.
 BLOCK_ROWS = 2048
+SWEEP_C_L, SWEEP_C_U = 5, 5  # old and new class counts of the sweeps' label vectors
 
 
 def _one_hot_simplex(idx: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +159,7 @@ def _one_hot_simplex(idx: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray
     return np.eye(k)[idx], e / e.sum(axis=1, keepdims=True)
 
 
-def monte_carlo_inequality(
-    n_cases: int, seed: int, c_l: int = 5, c_u: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
+def monte_carlo_inequality(n_cases: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """verify_inequality over random cases.
 
     Returns (direct, closed), one gap per case from each route. Callers
@@ -168,38 +167,38 @@ def monte_carlo_inequality(
     a fixed order; the routes then run BLOCK_ROWS rows at a time.
     """
     rng = np.random.default_rng(seed)
-    idx_b = rng.integers(0, c_u, size=n_cases)
-    e = rng.exponential(1.0, size=(n_cases, c_u))
+    idx_b = rng.integers(0, SWEEP_C_U, size=n_cases)
+    e = rng.exponential(1.0, size=(n_cases, SWEEP_C_U))
     eta = rng.uniform(size=n_cases)
-    idx_c = rng.integers(0, c_l, size=n_cases)
+    idx_c = rng.integers(0, SWEEP_C_L, size=n_cases)
 
     direct = np.empty(n_cases)
     closed = np.empty(n_cases)
     for start in range(0, n_cases, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        y_b, y_hat_b = _one_hot_simplex(idx_b[rows], e[rows], c_u)
+        y_b, y_hat_b = _one_hot_simplex(idx_b[rows], e[rows], SWEEP_C_U)
         # the inequality does not read sample a; b stands in for it
-        case = ErrorCase(y_b, y_hat_b, y_b, y_hat_b, eta[rows], np.eye(c_l)[idx_c[rows]])
+        case = ErrorCase(y_b, y_hat_b, y_b, y_hat_b, eta[rows], np.eye(SWEEP_C_L)[idx_c[rows]])
         direct[rows], closed[rows] = verify_inequality(case)
     return direct, closed
 
 
-def monte_carlo_mixup(n_cases: int, seed: int, c_u: int = 5) -> np.ndarray:
+def monte_carlo_mixup(n_cases: int, seed: int) -> np.ndarray:
     """mixup_error's differences over random cases (negatives are witnesses).
 
     Drawn at full length in a fixed order, computed BLOCK_ROWS rows at a time.
     """
     rng = np.random.default_rng(seed)
-    idx_a = rng.integers(0, c_u, size=n_cases)
-    e_a = rng.exponential(1.0, size=(n_cases, c_u))
-    idx_b = rng.integers(0, c_u, size=n_cases)
-    e_b = rng.exponential(1.0, size=(n_cases, c_u))
+    idx_a = rng.integers(0, SWEEP_C_U, size=n_cases)
+    e_a = rng.exponential(1.0, size=(n_cases, SWEEP_C_U))
+    idx_b = rng.integers(0, SWEEP_C_U, size=n_cases)
+    e_b = rng.exponential(1.0, size=(n_cases, SWEEP_C_U))
     eta = rng.uniform(size=n_cases)
 
     diffs = np.empty(n_cases)
     for start in range(0, n_cases, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        y_a, y_hat_a = _one_hot_simplex(idx_a[rows], e_a[rows], c_u)
-        y_b, y_hat_b = _one_hot_simplex(idx_b[rows], e_b[rows], c_u)
+        y_a, y_hat_a = _one_hot_simplex(idx_a[rows], e_a[rows], SWEEP_C_U)
+        y_b, y_hat_b = _one_hot_simplex(idx_b[rows], e_b[rows], SWEEP_C_U)
         diffs[rows] = mixup_error(ErrorCase(y_a, y_hat_a, y_b, y_hat_b, eta[rows]))[1]
     return diffs

@@ -73,7 +73,7 @@ def tiny_model(seed=0, input_dim=6, hidden=(4,), feature_dim=5, c_l=2, c_u=3):
 
 
 def model_params_flat(model):
-    return np.concatenate([p.reshape(-1) for _, p in nn.iter_params(model)])
+    return np.concatenate([p.reshape(-1) for p in nn.iter_params(model)])
 
 
 def log_softmax(logits):

@@ -229,7 +229,6 @@ def test_non_finite_override_exits_2(pipeline, capsys):
     assert "lr must be finite" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_3(pipeline, tmp_path, capsys):
     rc = cli.main([
         "pretrain", "--config", str(pipeline.cfg),
@@ -241,7 +240,6 @@ def test_divergence_exits_3(pipeline, tmp_path, capsys):
     assert not (tmp_path / cli.PRETRAIN_FILE).exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_second_moments_exit_3(pipeline, tmp_path, capsys):
     # squared mixing gradients overflow the RMSprop moments to inf, whose
     # parameters would then take g / inf = 0 updates and silently stop
@@ -254,6 +252,24 @@ def test_overflowing_second_moments_exit_3(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("divergence: RMSprop second moments became non-finite at epoch 2")
     assert not (tmp_path / cli.MODEL_FILE).exists()
+
+
+def test_divergence_prints_one_stderr_line(pipeline, tmp_path):
+    # in a fresh interpreter with numpy's default warning setting: the
+    # overflow on the way to the divergence prints no RuntimeWarning
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "openmix.cli", "cluster", "--config", str(pipeline.cfg),
+            "--checkpoint", str(pipeline.root / "out" / cli.PRETRAIN_FILE),
+            "--set", "lambda2=1e160", "--set", f"out_dir={tmp_path}",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=package_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "divergence: RMSprop second moments became non-finite at epoch 2\n"
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -441,7 +457,6 @@ def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
     assert err.startswith("i/o error:") and "non-finite parameter" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_overflowing_logits_exit_3(pipeline, tmp_path, capsys):
     # finite weights whose logits overflow: eval must not score them
     model = load_checkpoint(str(pipeline.root / "out" / "model.omx"))

@@ -117,6 +117,32 @@ def test_hidden_truth_counts_reads():
         labels[0] = 5  # read-only view
 
 
+def test_dataset_equality_by_value_without_a_truth_read():
+    x_l, y_l = np.arange(6.0).reshape(3, 2), np.array([0, 1, 1])
+    x_u, h = np.arange(8.0).reshape(4, 2) / 3, np.array([2, 0, 1, 0])
+
+    def make(c_l=2, c_u=3, x_l=x_l, y_l=y_l, x_u=x_u, h=h):
+        # fresh arrays every time: equality is by value, not by identity
+        labeled = LabeledSet(np.array(x_l), np.array(y_l), c_l)
+        return Dataset(labeled, UnlabeledSet(np.array(x_u), c_u), HiddenTruth(np.array(h)))
+
+    base = make()
+    assert base == make()
+    changed = {
+        "c_l": make(c_l=3),
+        "c_u": make(c_u=4),
+        "labeled x": make(x_l=x_l + np.eye(3, 2)),
+        "labeled y": make(y_l=[0, 1, 0]),
+        "unlabeled x": make(x_u=x_u * 2),
+        "hidden labels": make(h=[2, 0, 1, 1]),
+    }
+    for name, other in changed.items():
+        assert base != other and other != base, name
+        assert other.truth.reads == 0, name
+    assert base != "dataset"
+    assert base.truth.reads == 0
+
+
 def test_dataset_cross_checks():
     with pytest.raises(ValueError, match="truth registry"):
         Dataset(

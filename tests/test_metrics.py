@@ -51,11 +51,11 @@ def test_contingency_hand_case():
 
 def test_check_pair_rejections():
     with pytest.raises(ValueError):
-        metrics.acc(np.array([0, 1]), np.array([0]))
+        metrics.acc(np.array([0, 1]), np.array([0]), num_classes=2)
     with pytest.raises(ValueError):
-        metrics.acc(np.array([], dtype=int), np.array([], dtype=int))
+        metrics.acc(np.array([], dtype=int), np.array([], dtype=int), num_classes=2)
     with pytest.raises(ValueError):
-        metrics.acc(np.array([-1, 0]), np.array([0, 1]))
+        metrics.acc(np.array([-1, 0]), np.array([0, 1]), num_classes=2)
     with pytest.raises(ValueError):
         metrics.acc(np.array([0, 3]), np.array([0, 1]), num_classes=2)
 
@@ -108,11 +108,11 @@ def test_assignment_solver_matches_linear_sum_assignment():
 
 def test_acc_hand_cases():
     truth = np.array([0, 0, 1, 1, 2, 2])
-    assert metrics.acc(truth, truth) == 1.0
+    assert metrics.acc(truth, truth, num_classes=3) == 1.0
     relabeled = np.array([2, 2, 0, 0, 1, 1])
-    assert metrics.acc(relabeled, truth) == 1.0
+    assert metrics.acc(relabeled, truth, num_classes=3) == 1.0
     one_wrong = np.array([0, 0, 1, 1, 2, 1])
-    assert metrics.acc(one_wrong, truth) == pytest.approx(5 / 6)
+    assert metrics.acc(one_wrong, truth, num_classes=3) == pytest.approx(5 / 6)
 
 
 def test_best_map_hits_hand_case():

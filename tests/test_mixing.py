@@ -7,6 +7,9 @@ import mixing_reference
 from openmix import mixing, nn
 from helpers import assert_grad_close, fd_grad
 
+# the anchors of a batch drawn from the labeled source alone
+NO_ANCHORS = mixing.AnchorSet(np.empty(0, np.int64), np.zeros((0, 3)))
+
 
 def build_labeled(size, labeled_x, onehot, unlabeled_x, pred, anchors, epsilon, rng, **kw):
     """build_mixed_batch then mixed_labels with the drawn rows of a (N, C_u) prediction table.
@@ -21,12 +24,12 @@ def build_labeled(size, labeled_x, onehot, unlabeled_x, pred, anchors, epsilon, 
 
 
 def one_source_batch(size, labeled_x, onehot, unlabeled_x, pred, anchors, seed=0):
-    """A batch from the labeled source alone, or the anchors alone when given."""
+    """A batch from the labeled source alone, or the anchors alone when there are any."""
     return build_labeled(
         size, np.asarray(labeled_x, float), np.asarray(onehot, float),
         np.asarray(unlabeled_x, float), pred, anchors, 1.0,
-        np.random.default_rng(seed), use_labeled=anchors is None,
-        use_anchors=anchors is not None,
+        np.random.default_rng(seed), use_labeled=len(anchors) == 0,
+        use_anchors=len(anchors) > 0,
     )
 
 
@@ -34,13 +37,15 @@ def test_extend_labeled_layout():
     # labeled rows sit in the old block and the prediction in the new one
     onehot = np.array([[0.0, 1.0, 0.0]])
     pred = np.array([[0.25, 0.75]])
-    _, v, eta_star, _ = one_source_batch(5, np.zeros((1, 2)), onehot, np.zeros((1, 2)), pred, None)
+    _, v, eta_star, _ = one_source_batch(
+        5, np.zeros((1, 2)), onehot, np.zeros((1, 2)), pred, NO_ANCHORS
+    )
     w = eta_star[:, None]
     assert np.array_equal(v[:, :3], w * onehot)
     assert np.array_equal(v[:, 3:], (1 - w) * pred)
     for bad in ([[0.5, 0.5, 0.0]], [[1.0, 1.0, 0.0]]):
         with pytest.raises(ValueError, match="one-hot"):
-            one_source_batch(5, np.zeros((1, 2)), bad, np.zeros((1, 2)), pred, None)
+            one_source_batch(5, np.zeros((1, 2)), bad, np.zeros((1, 2)), pred, NO_ANCHORS)
 
 
 def test_extend_unlabeled_layout():
@@ -55,7 +60,7 @@ def test_extend_unlabeled_layout():
     assert np.array_equal(v[:, 3:], w * label_a + (1 - w) * pred)
     for bad in ([[0.5, 0.6]], [[-0.1, 1.1]], [[np.nan, 1.0]]):
         with pytest.raises(ValueError, match="predictions"):
-            one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), bad, None)
+            one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), bad, NO_ANCHORS)
         with pytest.raises(ValueError, match="anchor labels"):
             one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), pred,
                              mixing.AnchorSet(np.array([0]), np.array(bad)))
@@ -100,7 +105,7 @@ def test_mix_with_labeled_structure():
     x_u = np.array([[0.0, 4.0, -2.0]])
     onehot = np.array([[0.0, 1.0]])
     pred = np.array([[0.3, 0.7, 0.0]])
-    m, v, eta_star, from_labeled = one_source_batch(8, x_l, onehot, x_u, pred, None, seed=2)
+    m, v, eta_star, from_labeled = one_source_batch(8, x_l, onehot, x_u, pred, NO_ANCHORS, seed=2)
     assert from_labeled.all()
     w = eta_star[:, None]
     np.testing.assert_array_equal(m, w * x_l + (1 - w) * x_u)
@@ -173,7 +178,7 @@ def test_build_mixed_batch_sources_and_determinism():
     again = build(200, anchors, True, True)
     assert np.array_equal(m, again[0]) and np.array_equal(v, again[1])
 
-    assert build(50, None, True, False)[3].all()
+    assert build(50, NO_ANCHORS, True, False)[3].all()
     assert not build(50, anchors, False, True)[3].any()
 
 
@@ -262,24 +267,23 @@ def test_build_mixed_batch_rejections():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="empty anchor set"):
         mixing.build_mixed_batch(
-            4, x, onehot, x, mixing.AnchorSet(np.empty(0, np.int64), np.zeros((0, 2))),
-            1.0, rng, use_labeled=False, use_anchors=True,
+            4, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=False, use_anchors=True,
         )
     with pytest.raises(ValueError, match="at least one"):
         mixing.build_mixed_batch(
-            4, x, onehot, x, None, 1.0, rng, use_labeled=False, use_anchors=False,
+            4, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=False, use_anchors=False,
         )
     with pytest.raises(ValueError):
         mixing.build_mixed_batch(
-            0, x, onehot, x, None, 1.0, rng, use_labeled=True, use_anchors=False,
+            0, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=True, use_anchors=False,
         )
     with pytest.raises(ValueError, match="feature dimensions"):
         mixing.build_mixed_batch(
-            4, x, onehot, np.zeros((2, 4)), None, 1.0, rng,
+            4, x, onehot, np.zeros((2, 4)), NO_ANCHORS, 1.0, rng,
             use_labeled=True, use_anchors=False,
         )
     batch = mixing.build_mixed_batch(
-        4, x, onehot, x, None, 1.0, rng, use_labeled=True, use_anchors=False,
+        4, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=True, use_anchors=False,
     )
     with pytest.raises(ValueError, match="one distribution per drawn unlabeled row"):
         mixing.mixed_labels(batch, np.full((2, 2), 0.5))

@@ -83,7 +83,7 @@ def test_init_model_shapes_bounds_determinism():
 
 def test_parameter_count_matches_arrays():
     m = tiny_model()
-    want = sum(p.size for _, p in nn.iter_params(m))
+    want = sum(p.size for p in nn.iter_params(m))
     assert nn.parameter_count(6, [4], 5, 2, 3) == want
 
 
@@ -191,7 +191,7 @@ def test_backward_matches_finite_difference_over_params():
         def loss_at(flat):
             pos = 0
             probe = tiny_model(seed=10 + trial)
-            for _, p in nn.iter_params(probe):
+            for p in nn.iter_params(probe):
                 p[...] = flat[pos : pos + p.size].reshape(p.shape)
                 pos += p.size
             _, z_l, z_u = nn.forward(probe, x)
@@ -285,7 +285,7 @@ def test_two_backwards_into_one_store_equal_separate_stores_summed(frozen):
     _grads(m, x_m, gl_m * 1e3, gu_m * 1e3, frozen, grads=one)
     first = _grads(m, x, None, gu, frozen)
     second = _grads(m, x_m, gl_m * 1e3, gu_m * 1e3, frozen)
-    for (_, a), (_, b) in zip(nn.iter_params(first), nn.iter_params(second)):
+    for a, b in zip(nn.iter_params(first), nn.iter_params(second)):
         a += b
     assert model_params_flat(one).tobytes() == model_params_flat(first).tobytes()
 
@@ -294,9 +294,9 @@ def test_on_flat_views_in_parameter_order():
     shapes = nn.layer_shapes(6, [4, 7], 5, 2, 3)
     flat = np.arange(float(nn.parameter_count(6, [4, 7], 5, 2, 3)))
     m = nn.on_flat(shapes, flat)
-    params = [p for _, p in nn.iter_params(m)]
+    params = list(nn.iter_params(m))
     like = tiny_model(hidden=(4, 7))
-    assert [p.shape for p in params] == [p.shape for _, p in nn.iter_params(like)]
+    assert [p.shape for p in params] == [p.shape for p in nn.iter_params(like)]
     # iter_params order, which is the checkpoint's order, walks flat from start to end
     np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), flat)
     for p in params:
@@ -307,14 +307,16 @@ def test_on_flat_views_in_parameter_order():
 
 def test_iter_params_order():
     m = tiny_model()
-    names = [name for name, _ in nn.iter_params(m)]
-    assert names == [
-        "backbone.0.w",
-        "backbone.0.b",
-        "backbone.1.w",
-        "backbone.1.b",
-        "old_head.w",
-        "old_head.b",
-        "new_head.w",
-        "new_head.b",
+    got = list(nn.iter_params(m))
+    want = [
+        m.backbone[0].w,
+        m.backbone[0].b,
+        m.backbone[1].w,
+        m.backbone[1].b,
+        m.old_head.w,
+        m.old_head.b,
+        m.new_head.w,
+        m.new_head.b,
     ]
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))

@@ -216,17 +216,19 @@ def test_monte_carlo_mixup_distribution():
     assert (diffs > 0).sum() > 100
 
 
-@pytest.mark.parametrize("c_l,c_u", [(5, 5), (2, 9)])
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize(
-    "n", [1, theory.BLOCK_ROWS - 1, theory.BLOCK_ROWS, 3 * theory.BLOCK_ROWS + 7]
+    "n",
+    [1, theory.BLOCK_ROWS - 1, theory.BLOCK_ROWS, 3 * theory.BLOCK_ROWS + 7],
+    ids=["one", "block-1", "block", "3 blocks+7"],
 )
-def test_blocked_sweeps_equal_unblocked_reference(n, seed, c_l, c_u):
-    direct, closed = theory.monte_carlo_inequality(n, seed, c_l=c_l, c_u=c_u)
+def test_blocked_sweeps_equal_unblocked_reference(n, seed):
+    c_l, c_u = theory.SWEEP_C_L, theory.SWEEP_C_U
+    direct, closed = theory.monte_carlo_inequality(n, seed)
     want_direct, want_closed = theory_reference.monte_carlo_inequality(n, seed, c_l=c_l, c_u=c_u)
     assert direct.tobytes() == want_direct.tobytes()
     assert closed.tobytes() == want_closed.tobytes()
-    got = theory.monte_carlo_mixup(n, seed, c_u=c_u)
+    got = theory.monte_carlo_mixup(n, seed)
     assert got.tobytes() == theory_reference.monte_carlo_mixup(n, seed, c_u=c_u).tobytes()
 
 

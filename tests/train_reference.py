@@ -50,9 +50,7 @@ class RmspropState:
         self.square_avg = zeros_like_model(model)
 
     def step(self, params, grads):
-        for (_, p), (_, g), (_, v) in zip(
-            iter_params(params), iter_params(grads), iter_params(self.square_avg)
-        ):
+        for p, g, v in zip(iter_params(params), iter_params(grads), iter_params(self.square_avg)):
             if p.shape != g.shape:
                 raise ValueError("gradient shape does not match parameter shape")
             v *= self.rho
@@ -317,7 +315,7 @@ def cluster_train(model, dataset, cfg):
                 grads_m = backward(
                     model, m, acts_m, cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m
                 )
-                for (_, d), (_, s) in zip(iter_params(grads), iter_params(grads_m)):
+                for d, s in zip(iter_params(grads), iter_params(grads_m)):
                     d += s
                 opm_sum += opm
 
