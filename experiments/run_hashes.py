@@ -5,11 +5,19 @@ of what `load_dataset` returns for three dataset files.
 Each configuration runs build_model -> pretrain -> attach_new_head ->
 cluster_train on SplitSpec(seed=seed) with the case's "split" fields, then
 writes the checkpoint and the metrics CSV. The printed digest covers the
-checkpoint bytes followed by the CSV bytes. A change meant to keep runs
-byte-identical is checked by running this at the parent commit and at the
-change, then diffing:
+checkpoint bytes followed by the CSV bytes.
 
-    PYTHONPATH=src python3 experiments/run_hashes.py > hashes.txt
+experiments/run_hashes.txt holds the 19 lines this script prints for the
+committed code, taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
+(Haswell kernels) on a 2-core Intel Xeon. A change meant to keep runs
+byte-identical shows an empty
+
+    diff <(PYTHONPATH=src python3 experiments/run_hashes.py) experiments/run_hashes.txt
+
+Another numpy, BLAS or CPU may round differently; there, run this script at
+the parent commit and at the change and diff the two outputs instead. A
+change that alters the bytes on purpose (a new anchor rule, say) replaces
+run_hashes.txt in the same commit.
 
 The loaded files are the writer's own at SplitSpec(per_class=5000) and
 seeds 0 and 1, which numpy's C reader parses, and a valid seed-0 file with

@@ -72,13 +72,6 @@ def parse_flat(text: str, cls):
     return cfg
 
 
-def apply_overrides(cfg, overrides: list[str]):
-    """Apply `--set key=value` style overrides in order."""
-    for item in overrides:
-        _set(cfg, item, "override")
-    return cfg
-
-
 # Widest layer a model may have (a dataset's input_dim, each hidden width,
 # feature_dim): a square weight matrix at this width takes 128 MB, and a
 # 1000-row pool's activations 33 MB.
@@ -146,9 +139,9 @@ class RunConfig:
         return self
 
 
-def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
-    """Read a RunConfig file, apply overrides, and validate."""
+def load_run_config(path: str, overrides: typing.Sequence[str] = ()) -> RunConfig:
+    """Read a RunConfig file, apply `--set key=value` overrides in order, and validate."""
     cfg = parse_flat(read_text(path, "config", ConfigError), RunConfig)
-    if overrides:
-        apply_overrides(cfg, overrides)
+    for item in overrides:
+        _set(cfg, item, "override")
     return cfg.validate()

@@ -3,8 +3,9 @@
 Two parts: a pairwise BCE on cosine similarities between softmax outputs
 (with self-estimated binary pair labels) and a cross-entropy on confidently
 pseudo-labeled examples. clustering_losses computes both from one softmax
-of the batch and returns each value together with its gradient w.r.t. the
-new-head logits so the trainer can backpropagate.
+of the batch and one cosine matrix, and returns each value together with
+its gradient w.r.t. the new-head logits so the trainer can backpropagate.
+The tests keep the cosine matrix and the two-log BCE as separate oracles.
 """
 
 from __future__ import annotations
@@ -15,35 +16,6 @@ from .nn import shifted_exp, softmax_backward
 
 # similarities are clamped into [CLAMP, 1 - CLAMP] before any logarithm
 CLAMP = 1e-7
-
-
-def similarity_matrix(p: np.ndarray, outer: np.ndarray | None = None) -> np.ndarray:
-    """Cosine similarities between the rows of a batch of probability vectors.
-
-    Returns the raw matrix (diagonal exactly 1, entries in [0, 1]); clamping
-    happens inside the loss, not here. outer, if given, is np.outer of the row norms.
-    """
-    if outer is None:
-        nu = np.linalg.norm(p, axis=1)
-        outer = np.outer(nu, nu)
-    s = (p @ p.T) / outer
-    np.fill_diagonal(s, 1.0)
-    return s
-
-
-def ppl_loss_value(s: np.ndarray, w: np.ndarray) -> float:
-    """BCE over all ordered pairs (diagonal included), normalized by n^2.
-
-    Evaluates the loss alone, in the two-log form; tests check
-    clustering_losses' one-log route against it.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != w.shape:
-        raise ValueError("similarity and pair-label shapes differ")
-    n = s.shape[0]
-    sc = np.clip(s, CLAMP, 1.0 - CLAMP)
-    terms = w * np.log(sc) + (1.0 - w) * np.log(1.0 - sc)
-    return float(-terms.sum() / (n * n))
 
 
 def pseudo_labels(p: np.ndarray, theta2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +52,8 @@ def clustering_losses(
     p = e / total
     nu = np.linalg.norm(p, axis=1)
     outer = np.outer(nu, nu)
-    s = similarity_matrix(p, outer)
+    s = (p @ p.T) / outer  # cosine similarities, the diagonal pinned at exactly 1
+    np.fill_diagonal(s, 1.0)
     w = s >= theta1
     n = s.shape[0]
     # w is 0/1, so each pair needs one log: that of sc where w, else of 1-sc

@@ -125,28 +125,22 @@ def build_mixed_batch(
         from_labeled = rng.integers(0, 2, size=size).astype(bool)
     else:
         from_labeled = np.full(size, use_labeled)
-    from_anchor = ~from_labeled
     n_lab = int(from_labeled.sum())
-    lab_rows = rng.integers(0, labeled_x.shape[0], size=n_lab) if n_lab else np.empty(0, np.int64)
-    anc_rows = (
-        rng.integers(0, len(anchors), size=size - n_lab) if size - n_lab else np.empty(0, np.int64)
-    )
+    # a size-0 draw returns nothing and leaves the rng as it was
+    lab_rows = rng.integers(0, labeled_x.shape[0], size=n_lab)
+    anc_rows = rng.integers(0, len(anchors), size=size - n_lab)
     unl_rows = rng.integers(0, unlabeled_x.shape[0], size=size)
     _, eta_star = sample_mix_weight(epsilon, rng, size)
 
-    partner_x = np.empty((size, labeled_x.shape[1]))
     lab_labels = labeled_onehot[lab_rows]
-    anc_labels = np.empty((0, 0))
-    if n_lab:
-        _check_one_hot(lab_labels)
-        partner_x[from_labeled] = labeled_x[lab_rows]
-    if size - n_lab:
-        anc_labels = anchors.labels[anc_rows]
-        partner_x[from_anchor] = unlabeled_x[anchors.indices[anc_rows]]
+    _check_one_hot(lab_labels)
+    partner_x = np.empty((size, labeled_x.shape[1]))
+    partner_x[from_labeled] = labeled_x[lab_rows]
+    partner_x[~from_labeled] = unlabeled_x[anchors.indices[anc_rows]]
 
     w = eta_star[:, None]
     m = w * partner_x + (1.0 - w) * unlabeled_x[unl_rows]
-    return MixedBatch(m, eta_star, from_labeled, unl_rows, lab_labels, anc_labels)
+    return MixedBatch(m, eta_star, from_labeled, unl_rows, lab_labels, anchors.labels[anc_rows])
 
 
 def mixed_labels(batch: MixedBatch, pred: np.ndarray) -> np.ndarray:

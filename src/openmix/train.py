@@ -92,8 +92,8 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
             _check_finite(loss, "cross-entropy loss", epoch)
             nn.backward(model, x, acts, g_l, None, opt.grad)
             opt.step(model)
-        # an overflowed moment would silently freeze its parameter: g / inf = 0
-        _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
+            # an overflowed moment would silently freeze its parameter: g / inf = 0
+            _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
     z_l, _ = finite_logits(nn.logits(model, labeled.x), "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
 
@@ -208,10 +208,11 @@ def cluster_train(
                 opm_sum += opm
 
             opt.step(model)
+            # an overflowed moment would silently freeze its parameter: g / inf = 0
+            _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
             ppl_sum += ppl
             pll_sum += pll
             n_batches += 1
-        _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
 
         _, z_u_pool = finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", epoch)
         epoch_acc, epoch_nmi, pool_hits = evaluate(
@@ -224,7 +225,7 @@ def cluster_train(
                 nmi=epoch_nmi,
                 loss_ppl=ppl_sum / n_batches,
                 loss_pll=pll_sum / n_batches,
-                loss_opm=opm_sum / n_batches if mix_active else 0.0,
+                loss_opm=opm_sum / n_batches,
                 anchor_count=len(anchors),
                 anchor_acc=anchor_acc,
             )

@@ -1,9 +1,10 @@
-"""Shared test utilities: finite-difference gradients, tiny fixtures, and the
-helpers that only tests call (log_softmax, zero gradients, random theory cases)."""
+"""Shared test utilities: finite-difference gradients, tiny fixtures, the
+loss oracles (cosine matrix, two-log PPL, PLL) and the helpers that only
+tests call (log_softmax, zero gradients, random theory cases)."""
 
 import numpy as np
 
-from openmix import config, data, nn, theory
+from openmix import config, data, losses, nn, theory
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -35,6 +36,22 @@ def assert_grad_close(analytic, numeric, rtol=GRAD_RTOL, atol=GRAD_ATOL):
     assert float(err.max(initial=0.0)) <= atol, (
         f"grad mismatch: worst abs diff {np.abs(analytic - numeric).max():.3e}"
     )
+
+
+def cosine_similarity(p):
+    """Cosine similarities between the rows of p from their own norms, diagonal exactly 1."""
+    nu = np.linalg.norm(p, axis=1)
+    s = (p @ p.T) / np.outer(nu, nu)
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def ppl_reference(s, w):
+    """PPL value in the two-log form: BCE over all n^2 ordered pairs, diagonal included."""
+    n = s.shape[0]
+    sc = np.clip(s, losses.CLAMP, 1.0 - losses.CLAMP)
+    terms = w * np.log(sc) + (1.0 - w) * np.log(1.0 - sc)
+    return float(-terms.sum() / (n * n))
 
 
 def pll_reference(z, labels, assigned):

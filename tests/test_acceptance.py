@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import fd_grad, pll_reference
+from helpers import cosine_similarity, fd_grad, pll_reference, ppl_reference
 from openmix import losses, metrics, mixing, nn, theory, train
 from openmix.checkpoint import save_checkpoint
 from openmix.config import RunConfig
@@ -99,10 +99,10 @@ def test_03_every_loss_gradient_matches_finite_differences():
         n = int(rng.integers(3, 7))
         c = int(rng.integers(3, 6))
         z = rng.normal(size=(n, c)) * 1.5
-        w = (losses.similarity_matrix(nn.softmax(z)) >= 0.95).astype(float)
+        w = (cosine_similarity(nn.softmax(z)) >= 0.95).astype(float)
         g = losses.clustering_losses(z, 0.95, 0.9)[1]
         fd = fd_grad(
-            lambda zz: losses.ppl_loss_value(losses.similarity_matrix(nn.softmax(zz)), w), z
+            lambda zz: ppl_reference(cosine_similarity(nn.softmax(zz)), w), z
         )
         worst["ppl"] = max(worst["ppl"], _rel_err(g, fd))
 

@@ -11,7 +11,6 @@ from openmix.config import (
     MAX_WIDTH,
     ConfigError,
     RunConfig,
-    apply_overrides,
     load_run_config,
     parse_flat,
 )
@@ -92,15 +91,16 @@ def test_parse_bool_spellings():
         parse_flat("disable_openmix = maybe\n", RunConfig)
 
 
-def test_apply_overrides_order_and_errors():
-    cfg = RunConfig()
-    apply_overrides(cfg, ["seed=3", "seed=4", "lr=0.01"])
+def test_load_run_config_overrides_order_and_errors(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("")
+    cfg = load_run_config(str(path), ["seed=3", "seed=4", "lr=0.01"])
     assert cfg.seed == 4
     assert cfg.lr == 0.01
     with pytest.raises(ConfigError, match="unknown key"):
-        apply_overrides(cfg, ["nope=1"])
+        load_run_config(str(path), ["nope=1"])
     with pytest.raises(ConfigError, match="not key=value"):
-        apply_overrides(cfg, ["seed"])
+        load_run_config(str(path), ["seed"])
 
 
 @pytest.mark.parametrize(

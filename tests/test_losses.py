@@ -7,7 +7,7 @@ import pytest
 
 import train_reference
 from openmix import losses, nn
-from helpers import assert_grad_close, fd_grad, pll_reference
+from helpers import assert_grad_close, cosine_similarity, fd_grad, pll_reference, ppl_reference
 
 # scalar triple-loop oracle on Z3 below (see similarity values in the asserts)
 Z3 = np.array([[2.0, 0.0, -1.0], [0.0, 1.0, 0.5], [1.5, 1.0, -0.5]])
@@ -20,7 +20,7 @@ def fused(z, theta1=0.95, theta2=0.9):
 
 
 def cosines(z):
-    return losses.similarity_matrix(nn.softmax(z))
+    return cosine_similarity(nn.softmax(z))
 
 
 def test_similarity_matrix_against_scalar_cosine():
@@ -36,8 +36,6 @@ def test_similarity_matrix_against_scalar_cosine():
             assert abs(s[i, j] - want) < 1e-12
     assert np.array_equal(np.diag(s), np.ones(6))
     assert np.all(s >= 0) and np.all(s <= 1 + 1e-12)
-    nu = np.linalg.norm(p, axis=1)  # the row norms' outer product, when given, is used as is
-    assert losses.similarity_matrix(p, np.outer(nu, nu)).tobytes() == s.tobytes()
 
 
 def test_clustering_losses_one_row():
@@ -45,7 +43,7 @@ def test_clustering_losses_one_row():
     # diagonal term alone and has no gradient
     z = np.array([[2.0, 0.0, -1.0]])
     ppl, g_ppl, pll, g_pll = fused(z, theta2=0.8)
-    assert ppl == losses.ppl_loss_value(np.ones((1, 1)), np.ones((1, 1)))
+    assert ppl == ppl_reference(np.ones((1, 1)), np.ones((1, 1)))
     assert ppl == pytest.approx(-math.log(1.0 - losses.CLAMP), abs=1e-20)
     assert np.array_equal(g_ppl, np.zeros((1, 3)))
     p = nn.softmax(z)
@@ -63,8 +61,8 @@ def test_pair_labels_threshold_semantics():
     assert w_in[0, 2] == 1.0 and w_out[0, 2] == 0.0
     assert np.array_equal(w_in, np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], dtype=float))
     ppl = fused(Z3, theta1=tie)[0]
-    assert ppl == losses.ppl_loss_value(s, w_in)
-    assert ppl != losses.ppl_loss_value(s, w_out)
+    assert ppl == ppl_reference(s, w_in)
+    assert ppl != ppl_reference(s, w_out)
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
             fused(Z3, theta1=bad)
@@ -91,7 +89,7 @@ def test_ppl_loss_value_matches_grad_path():
     z = rng.normal(size=(5, 4)) * 2
     s = cosines(z)
     w = (s >= 0.95).astype(float)
-    value_only = losses.ppl_loss_value(s, w)
+    value_only = ppl_reference(s, w)
     value = fused(z)[0]
     assert value == value_only
 
@@ -127,7 +125,7 @@ def test_ppl_gradient_finite_difference():
         z = rng.normal(size=(n, c)) * 2
         w = (cosines(z) >= 0.95).astype(float)
         grad = fused(z)[1]
-        numeric = fd_grad(lambda zz: losses.ppl_loss_value(cosines(zz), w), z)
+        numeric = fd_grad(lambda zz: ppl_reference(cosines(zz), w), z)
         assert_grad_close(grad, numeric)
 
 
@@ -137,7 +135,7 @@ def test_ppl_diagonal_contributes_no_gradient():
     w = np.eye(2)
     assert np.array_equal((cosines(z) >= 0.95).astype(float), w)
     grad = fused(z)[1]
-    numeric = fd_grad(lambda zz: losses.ppl_loss_value(cosines(zz), w), z)
+    numeric = fd_grad(lambda zz: ppl_reference(cosines(zz), w), z)
     assert_grad_close(grad, numeric)
 
 
@@ -208,28 +206,24 @@ def test_pll_gradient_finite_difference():
 
 
 def test_clustering_losses_one_softmax_per_batch(monkeypatch):
-    # one exp pass (softmax and log-softmax) and one cosine matrix serve both losses
+    # one exp pass (softmax and log-softmax) serves both losses
     z = np.log(np.array([[0.91, 0.05, 0.04], [0.4, 0.35, 0.25], [0.04, 0.92, 0.04]]))
     want = fused(z)
-    calls = {"shifted_exp": 0, "similarity_matrix": 0}
+    calls = 0
+    inner = losses.shifted_exp
 
-    def counting(name):
-        inner = getattr(losses, name)
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inner(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(losses, name, counting(name))
+    monkeypatch.setattr(losses, "shifted_exp", counting)
     got = fused(z)
-    assert calls == {"shifted_exp": 1, "similarity_matrix": 1}
+    assert calls == 1
     assert got[0] == want[0] and got[2] == want[2]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3])
     fused(np.zeros((4, 3)))  # nothing assigned
-    assert calls == {"shifted_exp": 2, "similarity_matrix": 2}
+    assert calls == 2
 
 
 def test_cross_entropy_frozen_and_gradient():

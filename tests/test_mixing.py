@@ -190,6 +190,10 @@ REFERENCE_CASES = {
     "epsilon 2": dict(size=33, epsilon=2.0, use_labeled=True, use_anchors=True),
     "one row": dict(size=1, use_labeled=True, use_anchors=True),
     "repeated unlabeled rows": dict(size=64, n_unl=3, use_labeled=True, use_anchors=True),
+    # every anchor draw has size 0 and must leave the rng as it was
+    "labeled only, empty anchor set": dict(
+        size=64, no_anchors=True, use_labeled=True, use_anchors=False
+    ),
 }
 
 
@@ -199,9 +203,12 @@ def test_build_mixed_batch_matches_per_row_reference(case):
     size, epsilon = kw.pop("size"), kw.pop("epsilon", 1.0)
     n_unl = kw.pop("n_unl", 12)
     labeled_x, labeled_onehot, unlabeled_x, pred_u = mixing_inputs(n_unl=n_unl)
-    pool_logits = np.random.default_rng(8).normal(size=(n_unl, 3)) * 4
-    anchors = mixing.select_anchors(pool_logits, 0.6)
-    assert len(anchors) > 0
+    if kw.pop("no_anchors", False):
+        anchors = NO_ANCHORS
+    else:
+        pool_logits = np.random.default_rng(8).normal(size=(n_unl, 3)) * 4
+        anchors = mixing.select_anchors(pool_logits, 0.6)
+        assert len(anchors) > 0
 
     class Recorder:
         """pred_u for the reference: records every row it is asked for."""
@@ -231,7 +238,7 @@ def test_build_mixed_batch_matches_per_row_reference(case):
     assert rng.bit_generator.state == ref_state
     got = (batch.m, v, batch.eta_star, batch.from_labeled)
     for name, g, w in zip(("m", "v", "eta_star", "from_labeled"), got, want):
-        assert np.array_equal(g, w), name
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
     assert rng.random() == ref_rng.random()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import train_reference
-from openmix import config, data, losses, metrics, mixing, nn, train
+from openmix import config, data, losses, metrics, mixing, nn, optim, train
 from helpers import model_params_flat, tiny_config, tiny_spec
 
 
@@ -72,6 +72,28 @@ def test_runaway_logits_raise_divergence_error():
     cfg = tiny_config(seed=1, lr=1e200, freeze_epochs=0)
     with pytest.raises(train.DivergenceError, match="unlabeled-batch logits .* epoch 1"):
         train.cluster_train(model, ds, cfg)
+
+
+def test_overflowing_second_moment_stops_at_its_step(monkeypatch):
+    # the moment check follows every optimizer step, so the first step whose
+    # squared gradient overflows is the last one; none runs on frozen parameters
+    ds, _, model = _pretrained(seed=1)
+    cfg = tiny_config(
+        seed=1, lambda2=1e160, freeze_epochs=0, labeled_mix_epoch=1, cluster_epochs=3
+    )
+    train.attach_new_head(model, ds.c_u, train.stream_seed(cfg.seed, train.TAG_HEAD))
+    finite = []
+    inner = optim.RmspropState.step
+
+    def recording(self, params):
+        inner(self, params)
+        finite.append(bool(np.isfinite(self.flat.max())))
+
+    monkeypatch.setattr(optim.RmspropState, "step", recording)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(train.DivergenceError, match="RMSprop second moments .* epoch 1"):
+            train.cluster_train(model, ds, cfg)
+    assert finite.count(False) == 1 and not finite[-1]
 
 
 def test_pretrain_separable_blobs_high_accuracy():

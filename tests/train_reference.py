@@ -13,10 +13,11 @@ forward with its fresh bias and ReLU temporaries, the backward that also
 computes the input gradient, and the builder that asks a callable for the
 predictions). So is the arithmetic of a step in its plain form: the
 per-parameter RMSprop, the two-pass cross-entropy (log_softmax and softmax
-apart), the two-log pairwise BCE with its own clip for the gradient, and
-backward calls that pass explicit zero arrays for a head with no loss;
-pretrain here is train.pretrain's loop in that form. The
-oracle shares with openmix only the softmax, cosine and pseudo-label
+apart), the cosine matrix from its own row norms and the two-log pairwise
+BCE (helpers.cosine_similarity and helpers.ppl_reference) with their own
+clip for the gradient, and backward calls that pass explicit zero arrays
+for a head with no loss; pretrain here is train.pretrain's loop in that
+form. The oracle shares with openmix only the softmax and pseudo-label
 primitives, the anchors, the label checks, the mix-weight draw, the OPM
 loss and the metrics. train.cluster_train and train.pretrain must reproduce
 its parameters, reports and accuracy bit for bit at the default geometry.
@@ -39,7 +40,7 @@ from openmix.train import (
     _check_finite,
     stream_seed,
 )
-from helpers import log_softmax, zeros_like_model
+from helpers import cosine_similarity, log_softmax, ppl_reference, zeros_like_model
 
 
 class RmspropState:
@@ -66,10 +67,10 @@ def cross_entropy(z, onehot):
 
 def clustering_losses(z, theta1, theta2):
     p = nn.softmax(z)
-    s = losses.similarity_matrix(p)
+    s = cosine_similarity(p)
     w = (s >= theta1).astype(np.float64)
     n = s.shape[0]
-    ppl = losses.ppl_loss_value(s, w)
+    ppl = ppl_reference(s, w)
 
     sc = np.clip(s, losses.CLAMP, 1.0 - losses.CLAMP)
     g = -(w / sc - (1.0 - w) / (1.0 - sc)) / (n * n)
