@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 
+from .config import MAX_WIDTH, check_hidden_stack
+from .data import MAX_CLASSES
 from .fileio import write_atomic
 from .nn import TwoHeadMLP, iter_params, layer_shapes, on_flat, parameter_count
 
@@ -49,9 +51,12 @@ def load_checkpoint(path: str) -> TwoHeadMLP:
         *hidden_dims, feature_dim, c_l, c_u = struct.unpack_from(f"<{n_hidden + 3}I", blob, 12)
     except struct.error:
         raise CheckpointError(f"{path}: truncated header") from None
+    check_hidden_stack(hidden_dims, feature_dim, lambda msg: CheckpointError(f"{path}: {msg}"))
+    if not (1 <= input_dim <= MAX_WIDTH and 1 <= min(c_l, c_u) <= max(c_l, c_u) <= MAX_CLASSES):
+        raise CheckpointError(
+            f"{path}: input_dim must be in [1, {MAX_WIDTH}], C_l and C_u in [1, {MAX_CLASSES}]"
+        )
     shapes = layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u)
-    if min(map(min, shapes)) < 1:
-        raise CheckpointError(f"{path}: layer dims must be >= 1")
 
     off = 12 + 4 * (n_hidden + 3)
     expected = parameter_count(input_dim, hidden_dims, feature_dim, c_l, c_u)

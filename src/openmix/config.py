@@ -77,6 +77,23 @@ def parse_flat(text: str, cls):
 # 1000-row pool's activations 33 MB.
 MAX_WIDTH = 2**12
 
+# Hidden stack a model may have: this many hidden widths, and as many weights
+# joining them and feature_dim as one square layer at MAX_WIDTH (128 MB), so
+# the backbone, input layer included, keeps within 256 MB per model-sized vector.
+MAX_HIDDEN_LAYERS = 2**6
+MAX_STACK_WEIGHTS = 2**24
+
+
+def check_hidden_stack(hidden_dims: list[int], feature_dim: int, error=ConfigError) -> None:
+    """Raise error(message) unless the widths lie in [1, MAX_WIDTH] and the stack is capped."""
+    if len(hidden_dims) > MAX_HIDDEN_LAYERS:
+        raise error(f"hidden_dims must hold at most {MAX_HIDDEN_LAYERS} widths")
+    dims = [*hidden_dims, feature_dim]
+    if not all(1 <= d <= MAX_WIDTH for d in dims):
+        raise error(f"feature_dim and hidden_dims must be in [1, {MAX_WIDTH}]")
+    if sum(a * b for a, b in zip(dims, dims[1:])) > MAX_STACK_WEIGHTS:
+        raise error(f"hidden_dims and feature_dim must hold <= {MAX_STACK_WEIGHTS} weights")
+
 # Largest mixed batch: it is drawn with replacement, so no dataset bounds it.
 # The stacked forward holds 2 * batch_mixed rows of the widest layer, 256 MB
 # at the cap and MAX_WIDTH.
@@ -134,8 +151,7 @@ class RunConfig:
             raise ConfigError("injection epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not all(1 <= d <= MAX_WIDTH for d in [self.feature_dim, *self.hidden_dims]):
-            raise ConfigError(f"feature_dim and hidden_dims must be in [1, {MAX_WIDTH}]")
+        check_hidden_stack(self.hidden_dims, self.feature_dim)
         return self
 
 

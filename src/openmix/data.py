@@ -124,9 +124,10 @@ class Dataset:
 # and its float copy take 256 MB at the cap, a one-hot label 32 KB a row.
 MAX_CLASSES = 2**12
 
-# Feature values a generated split may hold: 128 MB as float64, 8 times the
-# paper-shaped split (c_l=80, c_u=20, input_dim=100, per_class=200). As
-# input_dim >= c_l + c_u, it keeps the class counts within MAX_CLASSES too.
+# Feature values a generated split may hold, and rows x classes on each side
+# of a loaded file (its one-hot labels and logits): 128 MB as float64, 8 times
+# the paper-shaped split (c_l=80, c_u=20, input_dim=100, per_class=200). As
+# input_dim >= c_l + c_u, a generated split keeps within both and MAX_CLASSES.
 MAX_SPLIT_VALUES = 2**24
 
 
@@ -302,6 +303,8 @@ def load_dataset(path: str) -> Dataset:
         raise DataFormatError(f"line 1: class counts must be <= {MAX_CLASSES}, got {c_l} and {c_u}")
     if input_dim > MAX_WIDTH:
         raise DataFormatError(f"line 1: input_dim must be <= {MAX_WIDTH}, got {input_dim}")
+    if max(n_l * c_l, n_u * c_u) > MAX_SPLIT_VALUES:
+        raise DataFormatError(f"rows x classes must be <= {MAX_SPLIT_VALUES} on each side")
     labeled = LabeledSet(x[is_l], labels[is_l], c_l)
     unlabeled = UnlabeledSet(x[~is_l], c_u)
     return Dataset(labeled, unlabeled, HiddenTruth(labels[~is_l]))

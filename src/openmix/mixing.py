@@ -163,8 +163,7 @@ def mixed_labels(batch: MixedBatch, pred: np.ndarray) -> np.ndarray:
 
     partner_v = np.zeros((size, c_l + c_u))
     partner_v[batch.from_labeled, :c_l] = batch.lab_labels
-    if len(batch.anc_labels):
-        partner_v[~batch.from_labeled, c_l:] = batch.anc_labels
+    partner_v[~batch.from_labeled, c_l:] = batch.anc_labels
     own_v = np.zeros((size, c_l + c_u))
     own_v[:, c_l:] = pred
 

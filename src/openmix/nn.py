@@ -160,14 +160,15 @@ def forward(
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Run the network; returns (activations, old-head logits, new-head logits).
 
-    The activations are the backbone's outputs, one per layer, the last
-    being the feature; backward() takes them so it need not recompute them.
+    The activations are the checked input, then the backbone's outputs, one
+    per layer, the last being the feature; backward() takes them, so it
+    needs neither the input nor a second forward pass.
     """
     return _rows_forward(model, _check_batch(model, batch))
 
 
 def _rows_forward(model: TwoHeadMLP, h: np.ndarray):
-    acts = []
+    acts = [h]
     last = len(model.backbone) - 1
     for i, layer in enumerate(model.backbone):
         # bias and ReLU in place: no second temporary of the layer's size
@@ -204,7 +205,6 @@ def logits(model: TwoHeadMLP, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def backward(
     model: TwoHeadMLP,
-    batch: np.ndarray,
     acts: list[np.ndarray],
     grad_z_l: np.ndarray | None,
     grad_z_u: np.ndarray | None,
@@ -213,16 +213,15 @@ def backward(
 ) -> None:
     """Add the gradients of sum(grad_z_l * z_l) + sum(grad_z_u * z_u) into grads.
 
-    acts are the activations forward() returned for this batch; grads holds
-    one array per parameter of the model, such as RmspropState.grad. A None
-    upstream gradient marks a silent head: it adds nothing and costs no
-    matmul. With freeze_backbone the backbone part is skipped and adds
-    nothing; the head gradients are the same either way.
+    acts are the activations forward() returned, or the same rows of each;
+    grads holds one array per parameter of the model, such as
+    RmspropState.grad. A None upstream gradient marks a silent head: it adds
+    nothing and costs no matmul. With freeze_backbone the backbone part is
+    skipped and adds nothing; the head gradients are the same either way.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    n = x.shape[0]
-    if len(acts) != len(model.backbone) or acts[-1].shape != (n, model.feature_dim):
-        raise ValueError("activations do not match the model and batch")
+    n = acts[0].shape[0]
+    if len(acts) != len(model.backbone) + 1 or acts[-1].shape != (n, model.feature_dim):
+        raise ValueError("activations do not match the model")
     if [p.shape for p in iter_params(grads)] != [p.shape for p in iter_params(model)]:
         raise ValueError("gradient store does not match the model")
     heads = [
@@ -248,9 +247,8 @@ def backward(
     for i in range(last, -1, -1):
         if i < last:
             # ReLU only sits between backbone affines, not after the feature
-            d_h = d_h * (acts[i] > 0.0)
-        h_prev = x if i == 0 else acts[i - 1]
-        grads.backbone[i].w += h_prev.T @ d_h
+            d_h = d_h * (acts[i + 1] > 0.0)
+        grads.backbone[i].w += acts[i].T @ d_h
         grads.backbone[i].b += d_h.sum(axis=0)
         if i > 0:  # the input needs no gradient
             d_h = d_h @ model.backbone[i].w.T

@@ -14,7 +14,7 @@ random draws fed through these same functions a block at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,17 +36,12 @@ def label_error(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     return np.abs(y - y_hat).sum(axis=-1)
 
 
-@dataclass
-class ErrorCase:
-    """Two unlabeled samples (a, b), one clean labeled sample (c), one weight.
+class ErrorCase(NamedTuple):
+    """Two unlabeled samples a and b, and a's weight in their plain mix.
 
-    y_* are ground truths, y_hat_* pseudo-labels. a and b live in the
-    new-class space, c in the old-class space; c is clean, so it needs no
-    pseudo-label. One case holds vectors; a block holds (rows, classes)
-    arrays, with eta a scalar or one weight per row and y_c one vector or
-    one per row. Vectors are usually simplex points but the arithmetic never
-    requires it; the worked single-class counterexample uses bare
-    probabilities.
+    y_* are new-class ground truths, y_hat_* pseudo-labels: vectors and a
+    scalar eta, or (rows, classes) arrays and one weight per row. They need
+    not be simplex points; the worked counterexample uses bare probabilities.
     """
 
     y_a: np.ndarray
@@ -54,24 +49,6 @@ class ErrorCase:
     y_b: np.ndarray
     y_hat_b: np.ndarray
     eta: float | np.ndarray
-    y_c: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-
-    def __post_init__(self):
-        for name in ("y_a", "y_hat_a", "y_b", "y_hat_b", "eta", "y_c"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.y_a.shape != self.y_hat_a.shape or self.y_b.shape != self.y_hat_b.shape:
-            raise ValueError("pseudo-label lengths must match their ground truths")
-        if self.y_a.shape != self.y_b.shape or self.y_b.ndim < 1:
-            raise ValueError("samples a and b must share the new-class space")
-        rows = self.y_b.shape[:-1]
-        if self.y_c.ndim < 1 or self.y_c.shape[:-1] not in ((), rows):
-            raise ValueError("y_c must be one label vector or one per row")
-        if self.y_c.shape[:-1] != rows:
-            self.y_c = np.broadcast_to(self.y_c, rows + self.y_c.shape[-1:])
-        if self.eta.shape not in ((), rows):
-            raise ValueError("eta must be a scalar or one weight per row")
-        if not np.all((self.eta >= 0.0) & (self.eta <= 1.0)):
-            raise ValueError("eta must be in [0, 1]")
 
 
 def mixup_error(case: ErrorCase) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +60,7 @@ def mixup_error(case: ErrorCase) -> tuple[np.ndarray, np.ndarray]:
     per-sample deltas and again from the mixed distributions themselves;
     the two routes must agree.
     """
-    w = case.eta[..., None]
+    w = np.asarray(case.eta)[..., None]
     v = 1.0 - w
     delta = w * (case.y_a - case.y_hat_a) + v * (case.y_b - case.y_hat_b)
     error = np.abs(delta).sum(axis=-1)
@@ -101,49 +78,44 @@ def _extend(old: np.ndarray, new: np.ndarray, block: str) -> np.ndarray:
     return np.concatenate([np.zeros_like(old), new], axis=-1)
 
 
-def openmix_error(case: ErrorCase) -> np.ndarray:
-    """Label error of mixing clean labeled c with unlabeled b in joint space.
+def openmix_error(y_b, y_hat_b, y_c, eta) -> np.ndarray:
+    """Label error of mixing clean labeled c, at weight eta, with unlabeled b in joint space.
 
+    y_b and y_hat_b live in the new-class space, y_c, one row per row of
+    y_b, in the old-class space; c is clean, so it needs no pseudo-label.
     Returns the general mixed-label error on extended vectors, checked
     against the reduced form, in which the old-block terms vanish.
     """
-    w = case.eta[..., None]
+    w = np.asarray(eta)[..., None]
     v = 1.0 - w
-    mixed_c = w * _extend(case.y_c, case.y_b, "old")  # c's share of both mixes
-    mixed_truth = mixed_c + v * _extend(case.y_c, case.y_b, "new")
-    mixed_pseudo = mixed_c + v * _extend(case.y_c, case.y_hat_b, "new")
+    mixed_c = w * _extend(y_c, y_b, "old")  # c's share of both mixes
+    mixed_truth = mixed_c + v * _extend(y_c, y_b, "new")
+    mixed_pseudo = mixed_c + v * _extend(y_c, y_hat_b, "new")
     general = label_error(mixed_truth, mixed_pseudo)
 
-    reduced = np.abs(v * (case.y_b - case.y_hat_b)).sum(axis=-1)
+    reduced = np.abs(v * (y_b - y_hat_b)).sum(axis=-1)
     _check_agreement(general, reduced, "joint-mix label error")
     return general
 
 
-def verify_inequality(case: ErrorCase) -> tuple[np.ndarray, np.ndarray]:
+def verify_inequality(y_b, y_hat_b, y_c, eta) -> tuple[np.ndarray, np.ndarray]:
     """Gap by which mixing with a clean labeled sample lowers label error.
 
-    Returns (direct, closed): E(Y_b, Y_hat_b) minus the joint-mix label
-    error computed literally, and the closed form eta * E(Y_b, Y_hat_b).
-    The two must agree to AGREEMENT_TOL. The inequality holds where
-    direct >= -AGREEMENT_TOL. Sample a is not read.
+    Takes openmix_error's arguments. Returns (direct, closed): E(Y_b, Y_hat_b)
+    minus the joint-mix label error computed literally, and the closed form
+    eta * E(Y_b, Y_hat_b). The two must agree to AGREEMENT_TOL. The
+    inequality holds where direct >= -AGREEMENT_TOL.
     """
-    err_b = label_error(case.y_b, case.y_hat_b)
-    direct = err_b - openmix_error(case)
-    closed = case.eta * err_b
+    err_b = label_error(y_b, y_hat_b)
+    direct = err_b - openmix_error(y_b, y_hat_b, y_c, eta)
+    closed = np.asarray(eta) * err_b
     _check_agreement(direct, closed, "inequality gap")
     return direct, closed
 
 
 def worked_counterexample() -> ErrorCase:
     """The worked single-class instance where plain mixing loses 0.2."""
-    return ErrorCase(
-        y_a=np.array([0.1]),
-        y_hat_a=np.array([0.9]),
-        y_b=np.array([0.7]),
-        y_hat_b=np.array([0.5]),
-        eta=0.6,
-        y_c=np.array([1.0]),
-    )
+    return ErrorCase(np.array([0.1]), np.array([0.9]), np.array([0.7]), np.array([0.5]), 0.6)
 
 
 # Rows per block of the Monte Carlo sweeps. A large sweep never materialises
@@ -177,9 +149,8 @@ def monte_carlo_inequality(n_cases: int, seed: int) -> tuple[np.ndarray, np.ndar
     for start in range(0, n_cases, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         y_b, y_hat_b = _one_hot_simplex(idx_b[rows], e[rows], SWEEP_C_U)
-        # the inequality does not read sample a; b stands in for it
-        case = ErrorCase(y_b, y_hat_b, y_b, y_hat_b, eta[rows], np.eye(SWEEP_C_L)[idx_c[rows]])
-        direct[rows], closed[rows] = verify_inequality(case)
+        y_c = np.eye(SWEEP_C_L)[idx_c[rows]]  # the clean labeled samples
+        direct[rows], closed[rows] = verify_inequality(y_b, y_hat_b, y_c, eta[rows])
     return direct, closed
 
 

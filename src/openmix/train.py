@@ -86,11 +86,10 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
     seed = stream_seed(cfg.seed, TAG_STAGE1)
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for idx in batch_iter(labeled, cfg.batch_labeled, seed, epoch):
-            x = labeled.x[idx]
-            acts, z_l, _ = finite_logits(nn.forward(model, x), "labeled-batch", epoch)
+            acts, z_l, _ = finite_logits(nn.forward(model, labeled.x[idx]), "labeled-batch", epoch)
             loss, g_l = losses.cross_entropy(z_l, onehot[idx])
             _check_finite(loss, "cross-entropy loss", epoch)
-            nn.backward(model, x, acts, g_l, None, opt.grad)
+            nn.backward(model, acts, g_l, None, opt.grad)
             opt.step(model)
             # an overflowed moment would silently freeze its parameter: g / inf = 0
             _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
@@ -193,7 +192,7 @@ def cluster_train(
             _check_finite(ppl, "pairwise similarity loss", epoch)
             _check_finite(pll, "pseudo-label loss", epoch)
             g_zu = g_ppl + cfg.lambda1 * g_pll
-            nn.backward(model, x, [a[:n] for a in acts], None, g_zu, opt.grad, frozen)
+            nn.backward(model, [a[:n] for a in acts], None, g_zu, opt.grad, frozen)
 
             if mix_active:
                 rows = slice(n, n + cfg.batch_mixed)
@@ -202,7 +201,7 @@ def cluster_train(
                 opm, g_zl_m, g_zu_m = mixing.opm_loss(z_l[rows], z_u[rows], v)
                 _check_finite(opm, "mixing loss", epoch)
                 nn.backward(
-                    model, mixed.m, [a[rows] for a in acts],
+                    model, [a[rows] for a in acts],
                     cfg.lambda2 * g_zl_m, cfg.lambda2 * g_zu_m, opt.grad, frozen,
                 )
                 opm_sum += opm

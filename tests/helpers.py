@@ -109,7 +109,8 @@ def zeros_like_model(model):
 
 
 def random_case(rng, c_l=5, c_u=5):
-    """Draw one label-error case: one-hot truths, exponential-normalized pseudo-labels."""
+    """Draw one label-error case and a clean labeled y_c: one-hot truths,
+    exponential-normalized pseudo-labels. Returns (ErrorCase, y_c)."""
 
     def one_hot(k):
         v = np.zeros(k)
@@ -120,14 +121,14 @@ def random_case(rng, c_l=5, c_u=5):
         e = rng.exponential(1.0, size=k)
         return e / e.sum()
 
-    return theory.ErrorCase(
+    case = theory.ErrorCase(
         y_a=one_hot(c_u),
         y_hat_a=simplex(c_u),
         y_b=one_hot(c_u),
         y_hat_b=simplex(c_u),
         eta=float(rng.uniform()),
-        y_c=one_hot(c_l),
     )
+    return case, one_hot(c_l)
 
 
 def mixup_can_worsen(rng=None, attempts=10000):
@@ -138,7 +139,7 @@ def mixup_can_worsen(rng=None, attempts=10000):
     """
     if rng is not None:
         for _ in range(attempts):
-            case = random_case(rng)
+            case, _ = random_case(rng)
             if theory.mixup_error(case)[1] < 0.0:
                 return case
     return theory.worked_counterexample()

@@ -99,6 +99,28 @@ def test_zero_dim_and_non_finite_rejected(tmp_path):
             load_checkpoint(str(path))
 
 
+# (input_dim, hidden_dims, feature_dim, C_l, C_u) beyond a cap, with the message that names it
+OVERSIZED = {
+    "wide feature": ((1, [], 50_000, 1, 1), r"feature_dim and hidden_dims must be in \[1, 4096\]"),
+    "deep stack": ((1, [1] * 65, 1, 1, 1), "hidden_dims must hold at most 64 widths"),
+    "heavy stack": ((1, [4096, 4096], 1, 1, 1), f"must hold <= {2**24} weights"),
+    "wide input": ((4097, [], 1, 1, 1), r"input_dim must be in \[1, 4096\]"),
+    "many old classes": ((1, [], 1, 4097, 1), r"C_l and C_u in \[1, 4096\]"),
+    "many new classes": ((1, [], 1, 1, 4097), r"C_l and C_u in \[1, 4096\]"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_header_rejected_before_the_payload(case, tmp_path):
+    # a hand-built header alone: the caps are checked before the payload's size
+    (input_dim, hidden, feature_dim, c_l, c_u), match = OVERSIZED[case]
+    header = [input_dim, len(hidden), *hidden, feature_dim, c_l, c_u]
+    path = tmp_path / "m.omx"
+    path.write_bytes(b"OMX1" + struct.pack(f"<{len(header)}I", *header))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(str(path))
+
+
 def test_missing_file():
     with pytest.raises(OSError):
         load_checkpoint("/nonexistent/m.omx")

@@ -190,6 +190,21 @@ def test_huge_model_width_exits_2(setting, tmp_path, capsys):
     assert err.startswith("config error:") and setting.split("=")[0] in err
 
 
+@pytest.mark.parametrize(
+    "widths", [[4096] * 8, [1] * 100_000], ids=["8 layers of 4096", "100000 layers of 1"]
+)
+def test_huge_hidden_stack_exits_2_before_reading_data(widths, tmp_path, capsys, monkeypatch):
+    def no_read(data_dir):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(cli, "_load_data", no_read)
+    setting = "hidden_dims=" + ",".join(map(str, widths))
+    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path)), "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "hidden_dims" in err and "must hold" in err
+
+
 def test_huge_spec_exits_2(tmp_path, capsys):
     spec = tmp_path / "huge.spec"
     spec.write_text(SPEC_TEXT.replace("per_class = 8", "per_class = 1000000000000"))

@@ -8,6 +8,8 @@ import pytest
 
 from openmix.config import (
     MAX_BATCH_MIXED,
+    MAX_HIDDEN_LAYERS,
+    MAX_STACK_WEIGHTS,
     MAX_WIDTH,
     ConfigError,
     RunConfig,
@@ -156,6 +158,19 @@ def test_validate_rejects_non_finite_and_out_of_range(cls, field, value):
     setattr(cfg, field, value)
     with pytest.raises(ConfigError, match=field):
         cfg.validate()
+
+
+def test_hidden_stack_caps_depth_and_weights():
+    # at each cap the config validates, one past it not
+    at_depth = RunConfig(hidden_dims=[1] * MAX_HIDDEN_LAYERS, feature_dim=1)
+    at_weights = RunConfig(hidden_dims=[MAX_WIDTH], feature_dim=MAX_STACK_WEIGHTS // MAX_WIDTH)
+    assert at_depth.validate() and at_weights.validate()
+    at_depth.hidden_dims.append(1)
+    with pytest.raises(ConfigError, match=f"at most {MAX_HIDDEN_LAYERS} widths"):
+        at_depth.validate()
+    at_weights.hidden_dims.insert(0, 1)  # a width-1 layer in front adds MAX_WIDTH weights
+    with pytest.raises(ConfigError, match=f"<= {MAX_STACK_WEIGHTS} weights"):
+        at_weights.validate()
 
 
 def test_split_value_cap_bounds_class_counts():

@@ -248,6 +248,23 @@ def test_load_dataset_row_errors(tmp_path):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("route", ["c-reader", "per-line"])
+def test_rows_times_classes_cap(route, tmp_path, monkeypatch):
+    # a 4096-class one-hot takes 32 KB a row: 4096 rows reach the cap, one more is beyond it
+    if route == "per-line":
+        monkeypatch.setattr(data, "_read_c", lambda *args: None)
+    c_l = data.MAX_CLASSES
+    path = tmp_path / "tall.csv"
+    for n_l in (data.MAX_SPLIT_VALUES // c_l, data.MAX_SPLIT_VALUES // c_l + 1):
+        path.write_text(f"omx-dataset,v1,1,{c_l},2\n" + "L,7,0.5\n" * n_l + "U,0,1.0\nU,1,2.0\n")
+        if n_l * c_l <= data.MAX_SPLIT_VALUES:
+            ds = load_dataset(str(path))
+            assert len(ds.labeled) == n_l and ds.c_l == c_l
+        else:
+            with pytest.raises(DataFormatError, match=f"rows x classes must be <= {2**24}"):
+                load_dataset(str(path))
+
+
 def test_save_dataset_exact_text(tmp_path):
     ds = Dataset(
         LabeledSet(np.array([[-0.0, 1e-05, 0.0001]]), np.array([1]), 2),

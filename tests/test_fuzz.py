@@ -136,6 +136,10 @@ HUGE_LINES = [
 WIDE_HEAD = f"omx-dataset,v1,{MAX_WIDTH + 1},2,3"
 WIDE_LINES = [row + ",0.5" * (MAX_WIDTH + 1) for row in ["L,1", "U,0", "U,2"]]
 
+# a header class count at the cap, with rows x classes at the cap, then one L row beyond it
+TALL_HEAD = f"omx-dataset,v1,2,{data.MAX_CLASSES},3"
+TALL_LINES = ["L,1,1.0,2.0"] * (data.MAX_SPLIT_VALUES // data.MAX_CLASSES) + ["U,0,1.0,2.0"] * 2
+
 # tokens of the writer's alphabet where numpy's C reader and int() or float()
 # could part ways: signs, leading zeros, int64 edges, exponent forms,
 # subnormals, overflow to inf, and kinds the C reader keeps two letters of
@@ -173,6 +177,8 @@ def multi_fault_files():
         yield [HUGE_HEAD, *GOOD_LINES[:3], line, *GOOD_LINES[3:]]
     yield [WIDE_HEAD, *WIDE_LINES]
     yield [WIDE_HEAD, *WIDE_LINES, GOOD_LINES[0]]
+    yield [TALL_HEAD, *TALL_LINES]
+    yield [TALL_HEAD, *TALL_LINES, "L,0,1.0,2.0"]
     valid = ["L,0,1.0,-2.5", "U,0,0.5,0.25", "U,2,1e-3,-0.0"]
     yield [f"{head}\x0c{valid[0]}", *valid[1:]]  # a row that only splitlines splits off the header
     for line in EDGE_LINES:
@@ -237,6 +243,11 @@ def test_loader_matches_per_line_reference(route, tmp_path, monkeypatch):
         elif isinstance(want, data.Dataset) and want.input_dim > MAX_WIDTH:
             # nor a width cap
             assert got[0] is DataFormatError and "input_dim must be" in got[1], variant
+        elif isinstance(want, data.Dataset) and max(
+            len(want.labeled) * want.c_l, len(want.unlabeled) * want.c_u
+        ) > data.MAX_SPLIT_VALUES:
+            # nor a rows x classes cap
+            assert got[0] is DataFormatError and "rows x classes" in got[1], variant
         else:
             assert got == want, variant
         loaded += isinstance(want, data.Dataset)

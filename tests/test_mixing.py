@@ -7,8 +7,9 @@ import mixing_reference
 from openmix import mixing, nn
 from helpers import assert_grad_close, fd_grad
 
-# the anchors of a batch drawn from the labeled source alone
-NO_ANCHORS = mixing.AnchorSet(np.empty(0, np.int64), np.zeros((0, 3)))
+def no_anchors(c_u):
+    """The empty anchor set, as select_anchors returns it for c_u new classes."""
+    return mixing.AnchorSet(np.empty(0, np.int64), np.zeros((0, c_u)))
 
 
 def build_labeled(size, labeled_x, onehot, unlabeled_x, pred, anchors, epsilon, rng, **kw):
@@ -38,14 +39,14 @@ def test_extend_labeled_layout():
     onehot = np.array([[0.0, 1.0, 0.0]])
     pred = np.array([[0.25, 0.75]])
     _, v, eta_star, _ = one_source_batch(
-        5, np.zeros((1, 2)), onehot, np.zeros((1, 2)), pred, NO_ANCHORS
+        5, np.zeros((1, 2)), onehot, np.zeros((1, 2)), pred, no_anchors(2)
     )
     w = eta_star[:, None]
     assert np.array_equal(v[:, :3], w * onehot)
     assert np.array_equal(v[:, 3:], (1 - w) * pred)
     for bad in ([[0.5, 0.5, 0.0]], [[1.0, 1.0, 0.0]]):
         with pytest.raises(ValueError, match="one-hot"):
-            one_source_batch(5, np.zeros((1, 2)), bad, np.zeros((1, 2)), pred, NO_ANCHORS)
+            one_source_batch(5, np.zeros((1, 2)), bad, np.zeros((1, 2)), pred, no_anchors(2))
 
 
 def test_extend_unlabeled_layout():
@@ -60,7 +61,9 @@ def test_extend_unlabeled_layout():
     assert np.array_equal(v[:, 3:], w * label_a + (1 - w) * pred)
     for bad in ([[0.5, 0.6]], [[-0.1, 1.1]], [[np.nan, 1.0]]):
         with pytest.raises(ValueError, match="predictions"):
-            one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), bad, NO_ANCHORS)
+            one_source_batch(
+                5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), bad, no_anchors(2)
+            )
         with pytest.raises(ValueError, match="anchor labels"):
             one_source_batch(5, np.zeros((1, 2)), np.eye(3)[:1], np.zeros((1, 2)), pred,
                              mixing.AnchorSet(np.array([0]), np.array(bad)))
@@ -105,7 +108,8 @@ def test_mix_with_labeled_structure():
     x_u = np.array([[0.0, 4.0, -2.0]])
     onehot = np.array([[0.0, 1.0]])
     pred = np.array([[0.3, 0.7, 0.0]])
-    m, v, eta_star, from_labeled = one_source_batch(8, x_l, onehot, x_u, pred, NO_ANCHORS, seed=2)
+    batch = one_source_batch(8, x_l, onehot, x_u, pred, no_anchors(3), seed=2)
+    m, v, eta_star, from_labeled = batch
     assert from_labeled.all()
     w = eta_star[:, None]
     np.testing.assert_array_equal(m, w * x_l + (1 - w) * x_u)
@@ -178,7 +182,7 @@ def test_build_mixed_batch_sources_and_determinism():
     again = build(200, anchors, True, True)
     assert np.array_equal(m, again[0]) and np.array_equal(v, again[1])
 
-    assert build(50, NO_ANCHORS, True, False)[3].all()
+    assert build(50, no_anchors(3), True, False)[3].all()
     assert not build(50, anchors, False, True)[3].any()
 
 
@@ -204,7 +208,7 @@ def test_build_mixed_batch_matches_per_row_reference(case):
     n_unl = kw.pop("n_unl", 12)
     labeled_x, labeled_onehot, unlabeled_x, pred_u = mixing_inputs(n_unl=n_unl)
     if kw.pop("no_anchors", False):
-        anchors = NO_ANCHORS
+        anchors = no_anchors(3)
     else:
         pool_logits = np.random.default_rng(8).normal(size=(n_unl, 3)) * 4
         anchors = mixing.select_anchors(pool_logits, 0.6)
@@ -272,25 +276,26 @@ def test_build_mixed_batch_rejections():
     x = np.zeros((2, 3))
     onehot = np.eye(2)
     rng = np.random.default_rng(0)
+    none = no_anchors(2)
     with pytest.raises(ValueError, match="empty anchor set"):
         mixing.build_mixed_batch(
-            4, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=False, use_anchors=True,
+            4, x, onehot, x, none, 1.0, rng, use_labeled=False, use_anchors=True,
         )
     with pytest.raises(ValueError, match="at least one"):
         mixing.build_mixed_batch(
-            4, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=False, use_anchors=False,
+            4, x, onehot, x, none, 1.0, rng, use_labeled=False, use_anchors=False,
         )
     with pytest.raises(ValueError):
         mixing.build_mixed_batch(
-            0, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=True, use_anchors=False,
+            0, x, onehot, x, none, 1.0, rng, use_labeled=True, use_anchors=False,
         )
     with pytest.raises(ValueError, match="feature dimensions"):
         mixing.build_mixed_batch(
-            4, x, onehot, np.zeros((2, 4)), NO_ANCHORS, 1.0, rng,
+            4, x, onehot, np.zeros((2, 4)), none, 1.0, rng,
             use_labeled=True, use_anchors=False,
         )
     batch = mixing.build_mixed_batch(
-        4, x, onehot, x, NO_ANCHORS, 1.0, rng, use_labeled=True, use_anchors=False,
+        4, x, onehot, x, none, 1.0, rng, use_labeled=True, use_anchors=False,
     )
     with pytest.raises(ValueError, match="one distribution per drawn unlabeled row"):
         mixing.mixed_labels(batch, np.full((2, 2), 0.5))

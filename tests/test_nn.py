@@ -104,7 +104,9 @@ def test_forward_relu_between_backbone_layers_only():
     feats = acts[-1]
     h = np.maximum(x @ m.backbone[0].w + m.backbone[0].b, 0.0)
     manual = h @ m.backbone[1].w + m.backbone[1].b
-    np.testing.assert_array_equal(acts[0], h)
+    # the activations start with the checked input itself, not a copy
+    assert len(acts) == 3 and acts[0] is x
+    np.testing.assert_array_equal(acts[1], h)
     np.testing.assert_array_equal(feats, manual)
     # the feature itself may go negative: no ReLU after the last affine
     assert feats.min() < 0
@@ -175,7 +177,7 @@ def test_logits_close_to_forward_at_other_widths():
 def _grads(m, x, gl, gu, frozen=False, grads=None):
     # backward into a zeroed store of m's geometry, or into grads
     grads = zeros_like_model(m) if grads is None else grads
-    nn.backward(m, x, nn.forward(m, x)[0], gl, gu, grads, freeze_backbone=frozen)
+    nn.backward(m, nn.forward(m, x)[0], gl, gu, grads, freeze_backbone=frozen)
     return grads
 
 
@@ -207,15 +209,15 @@ def test_backward_rejects_mismatched_upstream():
     acts = nn.forward(m, x)[0]
     grads = zeros_like_model(m)
     with pytest.raises(ValueError, match="upstream"):
-        nn.backward(m, x, acts, np.zeros((2, 3)), np.zeros((2, 3)), grads)
+        nn.backward(m, acts, np.zeros((2, 3)), np.zeros((2, 3)), grads)
     # the old head's gradient fits, the new head's does not: nothing is added
     with pytest.raises(ValueError, match="upstream"):
-        nn.backward(m, x, acts, np.ones((2, 2)), np.ones((2, 4)), grads)
+        nn.backward(m, acts, np.ones((2, 2)), np.ones((2, 4)), grads)
     assert not model_params_flat(grads).any()
+    # the backbone's outputs without the input they came from fail loudly
     with pytest.raises(ValueError, match="activations"):
-        nn.backward(
-            m, x, nn.forward(m, np.zeros((3, 6)))[0], np.zeros((2, 2)), np.zeros((2, 3)), grads
-        )
+        nn.backward(m, acts[1:], np.zeros((2, 2)), np.zeros((2, 3)), grads)
+    assert not model_params_flat(grads).any()
 
 
 @pytest.mark.parametrize("store", ["wider new head", "other backbone", "width-1 store"])

@@ -66,9 +66,9 @@ def test_updates_are_in_place_and_seeded_runs_agree():
     gl = rng.normal(size=(5, 2))
     gu = rng.normal(size=(5, 3))
     for _ in range(3):
-        nn.backward(m1, x, nn.forward(m1, x)[0], gl, gu, o1.grad)
+        nn.backward(m1, nn.forward(m1, x)[0], gl, gu, o1.grad)
         o1.step(m1)
-        nn.backward(m2, x, nn.forward(m2, x)[0], gl, gu, o2.grad)
+        nn.backward(m2, nn.forward(m2, x)[0], gl, gu, o2.grad)
         o2.step(m2)
     assert np.array_equal(model_params_flat(m1), model_params_flat(m2))
 
@@ -84,7 +84,7 @@ def test_step_rejects_a_model_of_another_geometry():
     m = tiny_model()
     opt = RmspropState(m, lr=0.1)
     x = np.ones((3, 6))
-    nn.backward(m, x, nn.forward(m, x)[0], np.ones((3, 2)), np.ones((3, 3)), opt.grad)
+    nn.backward(m, nn.forward(m, x)[0], np.ones((3, 2)), np.ones((3, 3)), opt.grad)
     # a new head of another width after construction: the flat state no longer fits
     m.new_head = nn._init_affine(m.feature_dim, m.c_u + 1, np.random.default_rng(0))
     before = model_params_flat(m)
@@ -93,7 +93,7 @@ def test_step_rejects_a_model_of_another_geometry():
     assert model_params_flat(m).tobytes() == before.tobytes()
     # nor can that model's gradients reach the flat buffer
     with pytest.raises(ValueError, match="gradient store"):
-        nn.backward(m, x, nn.forward(m, x)[0], None, np.ones((3, 4)), opt.grad)
+        nn.backward(m, nn.forward(m, x)[0], None, np.ones((3, 4)), opt.grad)
 
 
 @pytest.mark.parametrize("hidden", [(), (4,), (4, 7)])
@@ -121,7 +121,7 @@ def test_step_clears_the_gradient_store():
     m = tiny_model(seed=2, hidden=(4,))
     opt = RmspropState(m, lr=0.05)
     x = np.random.default_rng(3).normal(size=(5, 6))
-    nn.backward(m, x, nn.forward(m, x)[0], np.ones((5, 2)), np.ones((5, 3)), opt.grad)
+    nn.backward(m, nn.forward(m, x)[0], np.ones((5, 2)), np.ones((5, 3)), opt.grad)
     assert model_params_flat(opt.grad).any()
     opt.step(m)
     assert not model_params_flat(opt.grad).any()

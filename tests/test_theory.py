@@ -1,5 +1,6 @@
 """Label-error reliability analysis: hand values, dual routes, random sweeps."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -17,24 +18,6 @@ def test_label_error_hand_values():
         theory.label_error(np.array([1.0]), np.array([1.0, 0.0]))
 
 
-def test_error_case_validation():
-    with pytest.raises(ValueError, match="eta"):
-        theory.ErrorCase(
-            y_a=np.array([1.0]), y_hat_a=np.array([0.5]),
-            y_b=np.array([1.0]), y_hat_b=np.array([0.5]), eta=1.5,
-        )
-    with pytest.raises(ValueError, match="lengths"):
-        theory.ErrorCase(
-            y_a=np.array([1.0]), y_hat_a=np.array([0.5, 0.5]),
-            y_b=np.array([1.0]), y_hat_b=np.array([0.5]), eta=0.5,
-        )
-    with pytest.raises(ValueError, match="share"):
-        theory.ErrorCase(
-            y_a=np.array([1.0]), y_hat_a=np.array([1.0]),
-            y_b=np.array([0.5, 0.5]), y_hat_b=np.array([0.5, 0.5]), eta=0.5,
-        )
-
-
 def test_worked_counterexample_exact():
     case = theory.worked_counterexample()
     error, difference = theory.mixup_error(case)
@@ -46,7 +29,7 @@ def test_worked_counterexample_exact():
 def test_mixup_error_routes_agree_randomly():
     rng = np.random.default_rng(0)
     for _ in range(2000):
-        case = random_case(rng)
+        case, _ = random_case(rng)
         error, difference = theory.mixup_error(case)  # raises if routes split
         assert error >= 0.0
         assert difference == pytest.approx(
@@ -65,31 +48,26 @@ def test_mixup_can_worsen_finds_witness():
 
 def test_openmix_error_requires_clean_label():
     # the labeled sample carries no pseudo-label: it is clean by construction
+    for routine in (theory.openmix_error, theory.verify_inequality):
+        assert list(inspect.signature(routine).parameters) == ["y_b", "y_hat_b", "y_c", "eta"]
     with pytest.raises(TypeError, match="y_hat_c"):
-        theory.ErrorCase(
-            y_a=np.array([1.0, 0.0]), y_hat_a=np.array([0.5, 0.5]),
+        theory.openmix_error(
             y_b=np.array([0.0, 1.0]), y_hat_b=np.array([0.5, 0.5]),
-            eta=0.5, y_c=np.array([1.0, 0.0]), y_hat_c=np.array([0.9, 0.1]),
+            y_c=np.array([1.0, 0.0]), y_hat_c=np.array([0.9, 0.1]), eta=0.5,
         )
 
 
+# sample b and a clean labeled c in a one-class old space, mixed at eta = 0.25
+HAND_JOINT = (np.array([0.0, 1.0]), np.array([0.3, 0.7]), np.array([1.0]), 0.25)
+
+
 def test_openmix_error_hand_value():
-    case = theory.ErrorCase(
-        y_a=np.array([1.0, 0.0]), y_hat_a=np.array([0.5, 0.5]),
-        y_b=np.array([0.0, 1.0]), y_hat_b=np.array([0.3, 0.7]),
-        eta=0.25, y_c=np.array([1.0]),
-    )
     # (1 - eta) * |y_b - y_hat_b|_1 = 0.75 * 0.6
-    assert theory.openmix_error(case) == pytest.approx(0.45, abs=1e-12)
+    assert theory.openmix_error(*HAND_JOINT) == pytest.approx(0.45, abs=1e-12)
 
 
 def test_inequality_gap_closed_vs_direct_hand_case():
-    case = theory.ErrorCase(
-        y_a=np.array([1.0, 0.0]), y_hat_a=np.array([0.5, 0.5]),
-        y_b=np.array([0.0, 1.0]), y_hat_b=np.array([0.3, 0.7]),
-        eta=0.25, y_c=np.array([1.0]),
-    )
-    direct, closed = theory.verify_inequality(case)
+    direct, closed = theory.verify_inequality(*HAND_JOINT)
     assert direct >= -theory.AGREEMENT_TOL
     assert direct == pytest.approx(0.25 * 0.6, abs=1e-12)
     assert closed == pytest.approx(0.25 * 0.6, abs=1e-12)
@@ -98,7 +76,8 @@ def test_inequality_gap_closed_vs_direct_hand_case():
 def test_inequality_holds_on_random_cases():
     rng = np.random.default_rng(2)
     for _ in range(2000):
-        direct, closed = theory.verify_inequality(random_case(rng))
+        case, y_c = random_case(rng)
+        direct, closed = theory.verify_inequality(case.y_b, case.y_hat_b, y_c, case.eta)
         assert direct >= -theory.AGREEMENT_TOL
         assert closed >= 0.0
 
@@ -106,11 +85,10 @@ def test_inequality_holds_on_random_cases():
 def test_random_case_structure():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        case = random_case(rng, c_l=4, c_u=6)
-        for v in (case.y_a, case.y_b):
-            assert v.shape == (6,)
+        case, y_c = random_case(rng, c_l=4, c_u=6)
+        for v, k in ((case.y_a, 6), (case.y_b, 6), (y_c, 4)):
+            assert v.shape == (k,)
             assert np.count_nonzero(v == 1.0) == 1 and v.sum() == 1.0
-        assert case.y_c.shape == (4,)
         for p in (case.y_hat_a, case.y_hat_b):
             assert p.min() >= 0.0
             assert abs(p.sum() - 1.0) < 1e-12
@@ -132,12 +110,7 @@ def test_monte_carlo_matches_per_case_routines():
     y_c = np.zeros((n, c_l))
     y_c[np.arange(n), rng.integers(0, c_l, size=n)] = 1.0
     for i in range(0, n, 25):
-        case = theory.ErrorCase(
-            y_a=y_b[i], y_hat_a=y_hat_b[i],
-            y_b=y_b[i], y_hat_b=y_hat_b[i],
-            eta=float(eta[i]), y_c=y_c[i],
-        )
-        gap, gap_closed = theory.verify_inequality(case)
+        gap, gap_closed = theory.verify_inequality(y_b[i], y_hat_b[i], y_c[i], float(eta[i]))
         assert gap >= -theory.AGREEMENT_TOL
         assert gap == pytest.approx(direct[i], abs=1e-12)
         assert gap_closed == pytest.approx(closed[i], abs=1e-12)
@@ -157,41 +130,34 @@ def test_monte_carlo_matches_per_case_routines():
         assert theory.mixup_error(case)[1] == pytest.approx(diffs[i], abs=1e-12)
 
 
-def test_error_case_block_validation():
+def test_one_eta_serves_every_row_of_a_block():
     y = np.eye(3)[[0, 1, 2, 0]]
     p = np.full((4, 3), 1.0 / 3.0)
-    for eta in (np.nan, [0.5, 0.5, np.nan, 0.5], [0.5, 1.5, 0.5, 0.5]):
-        with pytest.raises(ValueError, match=r"eta must be in \[0, 1\]"):
-            theory.ErrorCase(y_a=y, y_hat_a=p, y_b=y, y_hat_b=p, eta=eta)
-    with pytest.raises(ValueError, match="one weight per row"):
-        theory.ErrorCase(y_a=y, y_hat_a=p, y_b=y, y_hat_b=p, eta=np.full(5, 0.5))
-    with pytest.raises(ValueError, match="one per row"):
-        theory.ErrorCase(y_a=y, y_hat_a=p, y_b=y, y_hat_b=p, eta=0.5, y_c=np.eye(2))
-    with pytest.raises(ValueError, match="share"):
-        theory.ErrorCase(y_a=y[:3], y_hat_a=p[:3], y_b=y, y_hat_b=p, eta=0.5)
-    # one y_c and one eta serve every row
-    case = theory.ErrorCase(y_a=y, y_hat_a=p, y_b=y, y_hat_b=p, eta=0.25, y_c=[0.0, 1.0])
-    assert case.y_c.shape == (4, 2)
-    np.testing.assert_allclose(theory.verify_inequality(case)[1], 0.25 * 4.0 / 3.0, rtol=1e-15)
+    y_c = np.eye(2)[[1, 1, 1, 1]]
+    np.testing.assert_allclose(theory.verify_inequality(y, p, y_c, 0.25)[1], 0.25 * 4.0 / 3.0,
+                               rtol=1e-15)
+    # a and b alike: the plain mix keeps b's error, whatever the weight
+    error, difference = theory.mixup_error(theory.ErrorCase(y, p, y, p, 0.25))
+    np.testing.assert_allclose(error, 4.0 / 3.0, rtol=1e-15)
+    assert error.shape == difference.shape == (4,)
 
 
 def test_block_case_equals_one_case_calls():
     rng = np.random.default_rng(8)
-    cases = [random_case(rng, c_l=3, c_u=6) for _ in range(40)]
-    block = theory.ErrorCase(**{
-        name: np.stack([getattr(c, name) for c in cases])
-        for name in ("y_a", "y_hat_a", "y_b", "y_hat_b", "eta", "y_c")
-    })
+    drawn = [random_case(rng, c_l=3, c_u=6) for _ in range(40)]
+    block = theory.ErrorCase(*map(np.stack, zip(*(case for case, _ in drawn))))
+    joint = (block.y_b, block.y_hat_b, np.stack([y_c for _, y_c in drawn]), block.eta)
     got = {
         "mixup": theory.mixup_error(block),
-        "openmix": (theory.openmix_error(block),),
-        "inequality": theory.verify_inequality(block),
+        "openmix": (theory.openmix_error(*joint),),
+        "inequality": theory.verify_inequality(*joint),
     }
-    for i, case in enumerate(cases):
+    for i, (case, y_c) in enumerate(drawn):
+        one = (case.y_b, case.y_hat_b, y_c, case.eta)
         want = {
             "mixup": theory.mixup_error(case),
-            "openmix": (theory.openmix_error(case),),
-            "inequality": theory.verify_inequality(case),
+            "openmix": (theory.openmix_error(*one),),
+            "inequality": theory.verify_inequality(*one),
         }
         for name, values in want.items():
             for g, w in zip(got[name], values):
@@ -199,14 +165,21 @@ def test_block_case_equals_one_case_calls():
                 assert g[i].tobytes() == np.float64(w).tobytes(), (name, i)
 
 
-@pytest.mark.parametrize("routine", [theory.mixup_error, theory.verify_inequality])
+@pytest.mark.parametrize("routine", ["mixup_error", "verify_inequality"])
 def test_routes_reject_nan(routine):
-    case = theory.ErrorCase(
-        y_a=np.array([1.0, 0.0]), y_hat_a=np.array([0.5, 0.5]),
-        y_b=np.array([0.0, 1.0]), y_hat_b=np.array([np.nan, 0.7]), eta=0.5,
-    )
-    with pytest.raises(ArithmeticError, match="disagrees between routes"):
-        routine(case)
+    y_b = np.array([0.0, 1.0])
+    call = {
+        "mixup_error": lambda y_hat_b, eta: theory.mixup_error(
+            theory.ErrorCase(np.array([1.0, 0.0]), np.array([0.5, 0.5]), y_b, y_hat_b, eta)
+        ),
+        "verify_inequality": lambda y_hat_b, eta: theory.verify_inequality(
+            y_b, y_hat_b, np.array([1.0]), eta
+        ),
+    }[routine]
+    # a NaN pseudo-label, and a NaN weight, which nothing checks before the routes
+    for y_hat_b, eta in ((np.array([np.nan, 0.7]), 0.5), (np.array([0.3, 0.7]), np.nan)):
+        with pytest.raises(ArithmeticError, match="disagrees between routes"):
+            call(y_hat_b, eta)
 
 
 def test_monte_carlo_mixup_distribution():
