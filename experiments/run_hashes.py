@@ -30,8 +30,8 @@ running this copy with PYTHONPATH pointing at the parent's src/.
 
 BLAS threading is pinned to one thread before numpy loads, because a
 multi-threaded BLAS may sum in a different order from run to run. All 14
-runs, both reports and the three loads take 25-35 s on a shared 2-core
-Xeon, depending on its load.
+runs, both reports and the three loads take about 20 s on a shared 2-core
+Xeon, more under load.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ CONFIGS = {
     "short theta1=0.8, theta2=0.7, lambda1=0.5": (
         0, dict(SHORT, theta1=0.8, theta2=0.7, lambda1=0.5)
     ),
-    # 426 = 5 * 85 + 1 pool rows: nn.logits' 85-row blocks leave a 1-row tail
+    # a new head wider than the old one; its 426-row pool is one nn.logits block
     "short c_u=6, per_class=71": (0, dict(SHORT, split=dict(c_u=6, per_class=71))),
 }
 ANALYZE_SEEDS = (0, 1)

@@ -160,31 +160,36 @@ def forward(
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Run the network; returns (activations, old-head logits, new-head logits).
 
-    The activations are the checked input, then the backbone's outputs, one
-    per layer, the last being the feature; backward() takes them, so it
-    needs neither the input nor a second forward pass.
+    The activations are the checked input, then each hidden layer's output:
+    one per backbone layer, the last being the last layer's input. The
+    feature is never built: no ReLU follows the last backbone layer, so it
+    is folded into each head (_fold()). backward() takes the activations, so
+    it needs neither the input nor a second forward pass.
     """
     return _rows_forward(model, _check_batch(model, batch))
 
 
+def _fold(model: TwoHeadMLP, head: Affine) -> tuple[np.ndarray, np.ndarray]:
+    """(W @ H, b @ H + c): head (H, c) composed with the last backbone layer (W, b)."""
+    last = model.backbone[-1]
+    c = last.b @ head.w
+    c += head.b
+    return last.w @ head.w, c
+
+
 def _rows_forward(model: TwoHeadMLP, h: np.ndarray):
     acts = [h]
-    last = len(model.backbone) - 1
-    for i, layer in enumerate(model.backbone):
+    for layer in model.backbone[:-1]:
         # bias and ReLU in place: no second temporary of the layer's size
         h = h @ layer.w
         h += layer.b
-        if i < last:
-            np.maximum(h, 0.0, out=h)
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
-    z_l = acts[-1] @ model.old_head.w
-    z_l += model.old_head.b
-    z_u = acts[-1] @ model.new_head.w
-    z_u += model.new_head.b
-    return acts, z_l, z_u
+    (w_l, c_l), (w_u, c_u) = _fold(model, model.old_head), _fold(model, model.new_head)
+    return acts, h @ w_l + c_l, h @ w_u + c_u
 
 
-_BLOCK_BYTES = 256 * 1024  # logits(): the widest activation of one row block
+_BLOCK_BYTES = 256 * 1024  # logits(): the widest hidden or logit array of one row block
 
 
 def logits(model: TwoHeadMLP, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +200,7 @@ def logits(model: TwoHeadMLP, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     x = _check_batch(model, batch)
     n = x.shape[0]
-    height = max(2, _BLOCK_BYTES // (8 * max(a.fan_out for a in model.backbone)))
+    height = max(2, _BLOCK_BYTES // (8 * max(*model.hidden_dims, model.c_l, model.c_u)))
     ends = [*range(height, n - 1, height), n]  # no cut leaves a 1-row tail
     z_l, z_u = np.empty((n, model.c_l)), np.empty((n, model.c_u))
     for a, b in zip([0, *ends], ends):
@@ -219,11 +224,12 @@ def backward(
     nothing and costs no matmul. With freeze_backbone the backbone part is
     skipped and adds nothing; the head gradients are the same either way.
     """
-    n = acts[0].shape[0]
-    if len(acts) != len(model.backbone) + 1 or acts[-1].shape != (n, model.feature_dim):
+    last = model.backbone[-1]
+    if len(acts) != len(model.backbone) or acts[-1].shape != (len(acts[0]), last.fan_in):
         raise ValueError("activations do not match the model")
     if [p.shape for p in iter_params(grads)] != [p.shape for p in iter_params(model)]:
         raise ValueError("gradient store does not match the model")
+    n = len(acts[0])
     heads = [
         (head, store, np.asarray(g, dtype=np.float64))
         for head, store, g in (
@@ -234,23 +240,31 @@ def backward(
     ]
     if any(g.shape != (n, head.fan_out) for head, _, g in heads):
         raise ValueError("upstream gradient shapes do not match head outputs")
-    feats, d_h = acts[-1], None
+    # the feature is a @ W + b, so a head's gradient reaches W through
+    # a.T @ g and the last layer's input through g @ (W @ H).T
+    a, d_w, d_b, d_a = acts[-1], [], [], []
     for head, store, g in heads:
-        store.w += feats.T @ g
-        store.b += g.sum(axis=0)
+        big_g, s = a.T @ g, g.sum(axis=0)
+        store.w += last.w.T @ big_g + np.outer(last.b, s)
+        store.b += s
         if not freeze_backbone:
-            d_h = g @ head.w.T if d_h is None else d_h + g @ head.w.T
-    if d_h is None:  # frozen, or both heads silent
+            d_w.append(big_g @ head.w.T)
+            d_b.append(s @ head.w.T)
+            if len(acts) > 1:  # the input needs no gradient
+                d_a.append(g @ _fold(model, head)[0].T)
+    if not d_w:  # frozen, or both heads silent
         return
+    # summed over the heads first: one add per parameter and call
+    grads.backbone[-1].w += sum(d_w[1:], d_w[0])
+    grads.backbone[-1].b += sum(d_b[1:], d_b[0])
 
-    last = len(model.backbone) - 1
-    for i in range(last, -1, -1):
-        if i < last:
-            # ReLU only sits between backbone affines, not after the feature
-            d_h = d_h * (acts[i + 1] > 0.0)
+    d_h = sum(d_a[1:], d_a[0]) if d_a else None  # the gradient of a
+    for i in range(len(acts) - 2, -1, -1):
+        # ReLU sits between backbone affines, so after every hidden layer
+        d_h = d_h * (acts[i + 1] > 0.0)
         grads.backbone[i].w += acts[i].T @ d_h
         grads.backbone[i].b += d_h.sum(axis=0)
-        if i > 0:  # the input needs no gradient
+        if i > 0:
             d_h = d_h @ model.backbone[i].w.T
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradients, tiny fixtures, the
-loss oracles (cosine matrix, two-log PPL, PLL) and the helpers that only
-tests call (log_softmax, zero gradients, random theory cases)."""
+loss oracles (cosine matrix, two-log PPL, PLL), the network's explicit-feature
+route and the helpers that only tests call (log_softmax, zero gradients,
+random theory cases)."""
 
 import numpy as np
 
@@ -106,6 +107,54 @@ def zeros_like_model(model):
         nn.Affine(np.zeros_like(model.old_head.w), np.zeros_like(model.old_head.b)),
         nn.Affine(np.zeros_like(model.new_head.w), np.zeros_like(model.new_head.b)),
     )
+
+
+def feature_forward(model, batch):
+    """The network run through its explicit feature: (activations, z_l, z_u).
+
+    The activations are the input and every backbone output, the last being
+    the (n, feature_dim) feature, which both heads then multiply. nn.forward
+    folds the last backbone layer into the heads instead.
+    """
+    acts = [np.asarray(batch, dtype=np.float64)]
+    last = len(model.backbone) - 1
+    for i, layer in enumerate(model.backbone):
+        h = acts[-1] @ layer.w + layer.b
+        acts.append(np.maximum(h, 0.0) if i < last else h)
+    feats = acts[-1]
+    return (
+        acts,
+        feats @ model.old_head.w + model.old_head.b,
+        feats @ model.new_head.w + model.new_head.b,
+    )
+
+
+def feature_backward(model, acts, grad_z_l, grad_z_u, freeze_backbone=False):
+    """nn.backward's gradients through feature_forward's activations, in a fresh store.
+
+    A None upstream gradient marks a silent head; with freeze_backbone the
+    backbone's gradients stay zero.
+    """
+    grads = zeros_like_model(model)
+    d_h = np.zeros_like(acts[-1])
+    for head, store, g in (
+        (model.old_head, grads.old_head, grad_z_l),
+        (model.new_head, grads.new_head, grad_z_u),
+    ):
+        if g is not None:
+            store.w += acts[-1].T @ g
+            store.b += g.sum(axis=0)
+            d_h += g @ head.w.T
+    if freeze_backbone:
+        return grads
+    last = len(model.backbone) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            d_h = d_h * (acts[i + 1] > 0.0)
+        grads.backbone[i].w += acts[i].T @ d_h
+        grads.backbone[i].b += d_h.sum(axis=0)
+        d_h = d_h @ model.backbone[i].w.T
+    return grads
 
 
 def random_case(rng, c_l=5, c_u=5):

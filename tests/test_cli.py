@@ -287,6 +287,36 @@ def test_divergence_prints_one_stderr_line(pipeline, tmp_path):
     assert proc.stderr == "divergence: RMSprop second moments became non-finite at epoch 2\n"
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path, capsys, monkeypatch):
+    # `omx analyze | head -1`: the reader closing stdout is no file problem
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert cli.main(["analyze", "--samples", "10"]) == 1
+        assert capsys.readouterr().err == ""
+        # the descriptor now writes to devnull, so the shutdown flush cannot fail
+        here, devnull = os.fstat(fd), os.stat(os.devnull)
+        assert (here.st_dev, here.st_ino) == (devnull.st_dev, devnull.st_ino)
+    finally:
+        os.close(fd)
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = cli.main(["pretrain", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2

@@ -9,6 +9,8 @@ from openmix.data import SplitSpec
 from helpers import (
     assert_grad_close,
     fd_grad,
+    feature_backward,
+    feature_forward,
     log_softmax,
     model_params_flat,
     tiny_model,
@@ -91,25 +93,31 @@ def test_forward_linear_backbone_is_affine():
     m = nn.init_model(4, [], 3, 2, 2, seed=0)
     x = np.random.default_rng(3).normal(size=(5, 4))
     acts, z_l, z_u = nn.forward(m, x)
-    feats = acts[-1]
-    np.testing.assert_array_equal(feats, x @ m.backbone[0].w + m.backbone[0].b)
-    np.testing.assert_array_equal(z_l, feats @ m.old_head.w + m.old_head.b)
-    np.testing.assert_array_equal(z_u, feats @ m.new_head.w + m.new_head.b)
+    # no hidden layer: the activations are the input alone, and the last
+    # (only) backbone layer is folded into each head
+    assert len(acts) == 1 and acts[0] is x
+    w, b = m.backbone[0].w, m.backbone[0].b
+    for z, head in ((z_l, m.old_head), (z_u, m.new_head)):
+        np.testing.assert_array_equal(z, x @ (w @ head.w) + (b @ head.w + head.b))
+        np.testing.assert_allclose(z, (x @ w + b) @ head.w + head.b, rtol=0, atol=1e-14)
 
 
 def test_forward_relu_between_backbone_layers_only():
     m = tiny_model(seed=4, hidden=(4,))
     x = np.random.default_rng(4).normal(size=(7, 6)) * 2
-    acts, _, _ = nn.forward(m, x)
-    feats = acts[-1]
+    acts, z_l, z_u = nn.forward(m, x)
     h = np.maximum(x @ m.backbone[0].w + m.backbone[0].b, 0.0)
-    manual = h @ m.backbone[1].w + m.backbone[1].b
-    # the activations start with the checked input itself, not a copy
-    assert len(acts) == 3 and acts[0] is x
+    # the activations start with the checked input itself, not a copy, and
+    # end with the last layer's input: the feature is never built
+    assert len(acts) == 2 and acts[0] is x
     np.testing.assert_array_equal(acts[1], h)
-    np.testing.assert_array_equal(feats, manual)
-    # the feature itself may go negative: no ReLU after the last affine
+    feats = h @ m.backbone[1].w + m.backbone[1].b
+    # the feature may go negative: no ReLU after the last affine
     assert feats.min() < 0
+    for z, head in ((z_l, m.old_head), (z_u, m.new_head)):
+        np.testing.assert_allclose(z, feats @ head.w + head.b, rtol=0, atol=1e-14)
+        relu_feats = np.maximum(feats, 0.0) @ head.w + head.b
+        assert np.abs(z - relu_feats).max() > 1e-3
 
 
 def test_forward_rejects_bad_batches():
@@ -127,7 +135,7 @@ def default_model(hidden):
 
 
 def block_height(model):
-    return nn._BLOCK_BYTES // (8 * max(a.fan_out for a in model.backbone))
+    return nn._BLOCK_BYTES // (8 * max(*model.hidden_dims, model.c_l, model.c_u))
 
 
 @pytest.mark.parametrize("hidden", [[], [32]])
@@ -146,7 +154,9 @@ def test_logits_bytes_equal_forward_at_default_geometry(hidden):
 def test_logits_blocks_never_hold_one_row(monkeypatch):
     m = default_model([])
     h = block_height(m)
-    assert h >= 2 and h * 8 * m.feature_dim <= nn._BLOCK_BYTES
+    # blocks are sized by the logits, the widest array they allocate without
+    # hidden layers: the default 1000-row pool is one block
+    assert 1000 < h and h * 8 * max(m.c_l, m.c_u) <= nn._BLOCK_BYTES
     sizes = []
     inner = nn._rows_forward
 
@@ -161,6 +171,7 @@ def test_logits_blocks_never_hold_one_row(monkeypatch):
         assert sum(sizes) == n
         assert all(size == h for size in sizes[:-1]), (n, sizes)
         assert 2 <= sizes[-1] <= h + 1 or n == 1, (n, sizes)
+    assert sizes == [1000]
 
 
 def test_logits_close_to_forward_at_other_widths():
@@ -172,6 +183,35 @@ def test_logits_close_to_forward_at_other_widths():
     got_l, got_u = nn.logits(m, x)
     np.testing.assert_allclose(got_l, z_l, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got_u, z_u, rtol=1e-12, atol=1e-12)
+
+
+# the folded route must equal the explicit-feature route to within rounding:
+# each array to 1e-12 of its largest magnitude, and exactly where it is zero
+FEATURE_ROUTE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [(6, [], 16, 2, 3), (6, [4, 7], 5, 2, 3), (50, [], 8, 3, 4), (16, [32], 384, 5, 5),
+     (9, [12], 7, 4, 1)],
+)
+def test_folded_route_matches_explicit_feature_route(geometry):
+    m = nn.init_model(*geometry, seed=3)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(9, m.input_dim)) * 2
+    gl, gu = rng.normal(size=(9, m.c_l)), rng.normal(size=(9, m.c_u))
+    acts, z_l, z_u = nn.forward(m, x)
+    f_acts, f_l, f_u = feature_forward(m, x)
+    pairs = [(z_l, f_l), (z_u, f_u)]
+    for frozen in (False, True):
+        for upstream in ((gl, gu), (None, gu), (gl, None), (None, None)):
+            got = zeros_like_model(m)
+            nn.backward(m, acts, *upstream, got, freeze_backbone=frozen)
+            want = feature_backward(m, f_acts, *upstream, freeze_backbone=frozen)
+            pairs += zip(nn.iter_params(got), nn.iter_params(want))
+    for got, want in pairs:
+        bound = FEATURE_ROUTE_RTOL * np.abs(want).max(initial=0.0)
+        assert np.abs(got - want).max(initial=0.0) <= bound
 
 
 def _grads(m, x, gl, gu, frozen=False, grads=None):
@@ -214,9 +254,11 @@ def test_backward_rejects_mismatched_upstream():
     with pytest.raises(ValueError, match="upstream"):
         nn.backward(m, acts, np.ones((2, 2)), np.ones((2, 4)), grads)
     assert not model_params_flat(grads).any()
-    # the backbone's outputs without the input they came from fail loudly
-    with pytest.raises(ValueError, match="activations"):
-        nn.backward(m, acts[1:], np.zeros((2, 2)), np.zeros((2, 3)), grads)
+    # the hidden output without the input it came from, or no activations
+    # at all, fail loudly
+    for short in (acts[1:], []):
+        with pytest.raises(ValueError, match="activations"):
+            nn.backward(m, short, np.zeros((2, 2)), np.zeros((2, 3)), grads)
     assert not model_params_flat(grads).any()
 
 

@@ -10,7 +10,8 @@ reads the truth again and solves a fresh cluster-to-class match for the
 anchors' captured labels, where the trainer reuses its evaluation's mask.
 The network and mixed-batch code it runs is kept here as well (the plain
 forward with its fresh bias and ReLU temporaries, the backward that also
-computes the input gradient, and the builder that asks a callable for the
+computes the input gradient, both folding the last backbone layer into the
+heads as nn does, and the builder that asks a callable for the
 predictions). So is the arithmetic of a step in its plain form: the
 per-parameter RMSprop, the two-pass cross-entropy (log_softmax and softmax
 apart), the cosine matrix from its own row norms and the two-log pairwise
@@ -95,14 +96,12 @@ def clustering_losses(z, theta1, theta2):
 def forward(model, batch):
     h = _check_batch(model, batch)
     acts = []
-    last = len(model.backbone) - 1
-    for i, layer in enumerate(model.backbone):
-        h = h @ layer.w + layer.b
-        if i < last:
-            h = np.maximum(h, 0.0)
+    for layer in model.backbone[:-1]:
+        h = np.maximum(h @ layer.w + layer.b, 0.0)
         acts.append(h)
-    z_l = acts[-1] @ model.old_head.w + model.old_head.b
-    z_u = acts[-1] @ model.new_head.w + model.new_head.b
+    w, b = model.backbone[-1].w, model.backbone[-1].b
+    z_l = h @ (w @ model.old_head.w) + (b @ model.old_head.w + model.old_head.b)
+    z_u = h @ (w @ model.new_head.w) + (b @ model.new_head.w + model.new_head.b)
     return acts, z_l, z_u
 
 
@@ -111,21 +110,25 @@ def backward(model, batch, acts, grad_z_l, grad_z_u):
     g_l = np.asarray(grad_z_l, dtype=np.float64)
     g_u = np.asarray(grad_z_u, dtype=np.float64)
     n = x.shape[0]
-    if len(acts) != len(model.backbone) or acts[-1].shape != (n, model.feature_dim):
+    w, b = model.backbone[-1].w, model.backbone[-1].b
+    if len(acts) != len(model.backbone) - 1 or (acts and acts[-1].shape != (n, w.shape[0])):
         raise ValueError("activations do not match the model and batch")
     if g_l.shape != (n, model.c_l) or g_u.shape != (n, model.c_u):
         raise ValueError("upstream gradient shapes do not match head outputs")
 
-    feats = acts[-1]
-    d_old = Affine(feats.T @ g_l, g_l.sum(axis=0))
-    d_new = Affine(feats.T @ g_u, g_u.sum(axis=0))
-    d_h = g_l @ model.old_head.w.T + g_u @ model.new_head.w.T
+    # the last backbone layer is folded into the heads: logits = a @ (W @ H) + (b @ H + c)
+    a = acts[-1] if acts else x
+    h_l, h_u = model.old_head.w, model.new_head.w
+    a_g_l, a_g_u = a.T @ g_l, a.T @ g_u
+    s_l, s_u = g_l.sum(axis=0), g_u.sum(axis=0)
+    d_old = Affine(w.T @ a_g_l + np.outer(b, s_l), s_l)
+    d_new = Affine(w.T @ a_g_u + np.outer(b, s_u), s_u)
+    d_last = Affine(a_g_l @ h_l.T + a_g_u @ h_u.T, s_l @ h_l.T + s_u @ h_u.T)
+    d_h = g_l @ (w @ h_l).T + g_u @ (w @ h_u).T
 
-    d_backbone = [None] * len(model.backbone)
-    last = len(model.backbone) - 1
-    for i in range(last, -1, -1):
-        if i < last:
-            d_h = d_h * (acts[i] > 0.0)
+    d_backbone = [None] * (len(model.backbone) - 1) + [d_last]
+    for i in range(len(model.backbone) - 2, -1, -1):
+        d_h = d_h * (acts[i] > 0.0)
         h_prev = x if i == 0 else acts[i - 1]
         d_backbone[i] = Affine(h_prev.T @ d_h, d_h.sum(axis=0))
         d_h = d_h @ model.backbone[i].w.T
