@@ -76,7 +76,7 @@ CONFIGS = {
     "short theta1=0.8, theta2=0.7, lambda1=0.5": (
         0, dict(SHORT, theta1=0.8, theta2=0.7, lambda1=0.5)
     ),
-    # a new head wider than the old one; its 426-row pool is one nn.logits block
+    # a new head wider than the old one, scored on a 426-row pool
     "short c_u=6, per_class=71": (0, dict(SHORT, split=dict(c_u=6, per_class=71))),
 }
 ANALYZE_SEEDS = (0, 1)

@@ -4,8 +4,10 @@ Runs the real train.pretrain and train.cluster_train with a timer around
 each function in WRAPPED, splits the timed calls into steps at each optimizer
 step and prints the median microseconds of each phase: of a pretrain step, of
 a mixed clustering step (its "backward, call 2" is the mixed rows') and of the
-calls between clustering epochs. "trainer's own" is the time of a step that
-no timed call covers: gathers, stacking, slicing and finiteness checks.
+calls between clustering epochs, where an nn.forward of the whole unlabeled
+pool is "pool scoring", not a step's forward. "trainer's own" is the time of
+a step that no timed call covers: gathers, stacking, slicing and finiteness
+checks.
 
     PYTHONPATH=src python3 experiments/step_phases.py [--repeats 400] [--seed 0]
 
@@ -47,16 +49,19 @@ WRAPPED = [
     (mixing, "opm_loss", "loss (OPM)"),
     (RmspropState, "step", "optimizer step"),
     (mixing, "select_anchors", "anchor refresh"),
-    (nn, "logits", "pool scoring"),
     (train, "evaluate", "evaluation"),
 ]
+POOL_FORWARD = "nn.forward of the pool"
 PHASE = {f"{owner.__name__.rpartition('.')[2]}.{attr}": p for owner, attr, p in WRAPPED}
+PHASE[POOL_FORWARD] = "pool scoring"
 BETWEEN_EPOCHS = ("anchor refresh", "pool scoring", "evaluation")
 
 
 @contextlib.contextmanager
-def timed_calls():
+def timed_calls(pool=None):
     """Wrap WRAPPED while open; yields the (name, start ns, end ns) of each call.
+
+    An nn.forward whose batch is the array pool is named POOL_FORWARD.
 
     No wrapped function calls another through its wrapped attribute, so the
     calls never nest."""
@@ -66,7 +71,9 @@ def timed_calls():
         def timed(*args, **kwargs):
             t0 = time.perf_counter_ns()
             out = fn(*args, **kwargs)
-            calls.append((name, t0, time.perf_counter_ns()))
+            t1 = time.perf_counter_ns()
+            pooled = name == "nn.forward" and args[1] is pool
+            calls.append((POOL_FORWARD if pooled else name, t0, t1))
             return out
 
         return timed
@@ -131,7 +138,7 @@ def main(argv: list[str] | None = None) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         train.cluster_train(model, ds, warm)
-        with timed_calls() as cluster_calls:
+        with timed_calls(ds.unlabeled.x) as cluster_calls:
             train.cluster_train(model, ds, mixed)
 
     called = {name for name, _, _ in pretrain_calls + cluster_calls}

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .config import MAX_WIDTH, check_hidden_stack
+from .config import MAX_HIDDEN_LAYERS, MAX_WIDTH, check_hidden_stack
 from .data import MAX_CLASSES
 from .fileio import write_atomic
 from .nn import TwoHeadMLP, iter_params, layer_shapes, on_flat, parameter_count
@@ -41,30 +41,29 @@ def save_checkpoint(path: str, model: TwoHeadMLP) -> None:
 
 
 def load_checkpoint(path: str) -> TwoHeadMLP:
+    """The model in path; reads no more than its header implies, plus one byte."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
-    try:
-        input_dim, n_hidden = struct.unpack_from("<2I", blob, 4)
-        # struct checks the length before it unpacks, so a huge n_hidden costs nothing
-        *hidden_dims, feature_dim, c_l, c_u = struct.unpack_from(f"<{n_hidden + 3}I", blob, 12)
-    except struct.error:
-        raise CheckpointError(f"{path}: truncated header") from None
-    check_hidden_stack(hidden_dims, feature_dim, lambda msg: CheckpointError(f"{path}: {msg}"))
-    if not (1 <= input_dim <= MAX_WIDTH and 1 <= min(c_l, c_u) <= max(c_l, c_u) <= MAX_CLASSES):
-        raise CheckpointError(
-            f"{path}: input_dim must be in [1, {MAX_WIDTH}], C_l and C_u in [1, {MAX_CLASSES}]"
-        )
-    shapes = layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u)
-
-    off = 12 + 4 * (n_hidden + 3)
-    expected = parameter_count(input_dim, hidden_dims, feature_dim, c_l, c_u)
-    if len(blob) - off != expected * 8:
-        raise CheckpointError(
-            f"{path}: expected {expected} parameters, found {(len(blob) - off) // 8}"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", offset=off)
+        if fh.read(4) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
+        try:
+            input_dim, n_hidden = struct.unpack("<2I", fh.read(8))
+            # one width past the cap fails check_hidden_stack, so no more are read
+            k = min(n_hidden, MAX_HIDDEN_LAYERS + 1) + 3
+            *hidden_dims, feature_dim, c_l, c_u = struct.unpack(f"<{k}I", fh.read(4 * k))
+        except struct.error:
+            raise CheckpointError(f"{path}: truncated header") from None
+        check_hidden_stack(hidden_dims, feature_dim, lambda msg: CheckpointError(f"{path}: {msg}"))
+        if not (1 <= input_dim <= MAX_WIDTH and 1 <= min(c_l, c_u) <= max(c_l, c_u) <= MAX_CLASSES):
+            raise CheckpointError(
+                f"{path}: input_dim must be in [1, {MAX_WIDTH}], C_l and C_u in [1, {MAX_CLASSES}]"
+            )
+        shapes = layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u)
+        expected = parameter_count(input_dim, hidden_dims, feature_dim, c_l, c_u)
+        payload = fh.read(8 * expected + 1)  # a byte past the payload is trailing data
+    if len(payload) != 8 * expected:
+        found = len(payload) // 8 if len(payload) < 8 * expected else f"more than {expected}"
+        raise CheckpointError(f"{path}: expected {expected} parameters, found {found}")
+    flat = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(flat).all():
         raise CheckpointError(f"{path}: non-finite parameter")
     return on_flat(shapes, flat.astype(np.float64))

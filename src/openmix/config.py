@@ -74,7 +74,7 @@ def parse_flat(text: str, cls):
 
 # Widest layer a model may have (a dataset's input_dim, each hidden width,
 # feature_dim): a square weight matrix at this width takes 128 MB, and a
-# 1000-row pool's activations 33 MB.
+# pool forward holds 32 KB per pool row for each hidden layer this wide.
 MAX_WIDTH = 2**12
 
 # Hidden stack a model may have: this many hidden widths, and as many weights

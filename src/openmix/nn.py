@@ -4,6 +4,7 @@ Everything here is float64 numpy. The model is a small ReLU MLP backbone
 shared by two affine heads: the old-class head (C_l logits) and the
 new-class head (C_u logits). Backpropagation is written out explicitly so
 every loss in the package can be checked against finite differences.
+forward() is the one forward route: training steps and whole-set scoring.
 """
 
 from __future__ import annotations
@@ -164,20 +165,11 @@ def forward(
     one per backbone layer, the last being the last layer's input. The
     feature is never built: no ReLU follows the last backbone layer, so it
     is folded into each head (_fold()). backward() takes the activations, so
-    it needs neither the input nor a second forward pass.
+    it needs neither the input nor a second forward pass. A caller that
+    needs only the logits drops the activations; until then each hidden
+    layer holds rows x width floats, and a float64 batch is not copied.
     """
-    return _rows_forward(model, _check_batch(model, batch))
-
-
-def _fold(model: TwoHeadMLP, head: Affine) -> tuple[np.ndarray, np.ndarray]:
-    """(W @ H, b @ H + c): head (H, c) composed with the last backbone layer (W, b)."""
-    last = model.backbone[-1]
-    c = last.b @ head.w
-    c += head.b
-    return last.w @ head.w, c
-
-
-def _rows_forward(model: TwoHeadMLP, h: np.ndarray):
+    h = _check_batch(model, batch)
     acts = [h]
     for layer in model.backbone[:-1]:
         # bias and ReLU in place: no second temporary of the layer's size
@@ -186,26 +178,18 @@ def _rows_forward(model: TwoHeadMLP, h: np.ndarray):
         np.maximum(h, 0.0, out=h)
         acts.append(h)
     (w_l, c_l), (w_u, c_u) = _fold(model, model.old_head), _fold(model, model.new_head)
-    return acts, h @ w_l + c_l, h @ w_u + c_u
+    z_l, z_u = h @ w_l, h @ w_u
+    z_l += c_l  # the folded biases in place too
+    z_u += c_u
+    return acts, z_l, z_u
 
 
-_BLOCK_BYTES = 256 * 1024  # logits(): the widest hidden or logit array of one row block
-
-
-def logits(model: TwoHeadMLP, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """forward()'s two logit arrays, computed in row blocks, keeping no activations.
-
-    A 1-row tail joins the block before it: a 1-row product takes another
-    BLAS kernel. Bit-equal to forward() at the default geometry (README).
-    """
-    x = _check_batch(model, batch)
-    n = x.shape[0]
-    height = max(2, _BLOCK_BYTES // (8 * max(*model.hidden_dims, model.c_l, model.c_u)))
-    ends = [*range(height, n - 1, height), n]  # no cut leaves a 1-row tail
-    z_l, z_u = np.empty((n, model.c_l)), np.empty((n, model.c_u))
-    for a, b in zip([0, *ends], ends):
-        _, z_l[a:b], z_u[a:b] = _rows_forward(model, x[a:b])
-    return z_l, z_u
+def _fold(model: TwoHeadMLP, head: Affine) -> tuple[np.ndarray, np.ndarray]:
+    """(W @ H, b @ H + c): head (H, c) composed with the last backbone layer (W, b)."""
+    last = model.backbone[-1]
+    c = last.b @ head.w
+    c += head.b
+    return last.w @ head.w, c
 
 
 def backward(

@@ -66,7 +66,7 @@ def _check_finite(value: float, component: str, epoch: int) -> None:
 
 
 def finite_logits(out: tuple, component: str, epoch: int | None = None) -> tuple:
-    """out, an nn.forward or nn.logits result, or DivergenceError if a logit is non-finite."""
+    """out, an nn.forward result, or DivergenceError if a logit is non-finite."""
     if not (np.isfinite(out[-2]).all() and np.isfinite(out[-1]).all()):
         at = "" if epoch is None else f" at epoch {epoch}"
         raise DivergenceError(f"{component} logits became non-finite{at}")
@@ -93,7 +93,7 @@ def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float
             opt.step(model)
             # an overflowed moment would silently freeze its parameter: g / inf = 0
             _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
-    z_l, _ = finite_logits(nn.logits(model, labeled.x), "labeled-set", cfg.pretrain_epochs)
+    _, z_l, _ = finite_logits(nn.forward(model, labeled.x), "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
 
 
@@ -122,11 +122,12 @@ def cluster_train(
     mixing is injected, the mixing loss on one freshly built mixed batch; a
     single optimizer step applies the combined gradient. One forward pass
     per step serves all three: the batch, the mixed batch and the mixed
-    batch's unlabeled rows, stacked. The pool is scored by nn.logits once
-    before the first epoch and once after each, for that epoch's evaluation
-    and the next epoch's anchors and their accuracy. Both backwards add into
-    opt.grad; the old head is silent in the unlabeled batch's, and the
-    backbone gets nothing while epoch <= freeze_epochs.
+    batch's unlabeled rows, stacked. The pool is scored by one whole-pool
+    nn.forward, its activations dropped, once before the first epoch and
+    once after each, for that epoch's evaluation and the next epoch's
+    anchors and their accuracy. Both backwards add into opt.grad; the old
+    head is silent in the unlabeled batch's, and the backbone gets nothing
+    while epoch <= freeze_epochs.
     """
     labeled, unlabeled, truth = dataset.labeled, dataset.unlabeled, dataset.truth
     if len(unlabeled) < 2:
@@ -139,7 +140,7 @@ def cluster_train(
 
     reports: list[EpochReport] = []
     warned_no_anchors = False
-    _, z_u_pool = finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", 1)
+    _, _, z_u_pool = finite_logits(nn.forward(model, unlabeled.x), "unlabeled-pool", 1)
     pool_hits = metrics.best_map_hits(
         z_u_pool.argmax(axis=1), truth.labels_for_eval(), unlabeled.num_classes
     )
@@ -213,7 +214,7 @@ def cluster_train(
             pll_sum += pll
             n_batches += 1
 
-        _, z_u_pool = finite_logits(nn.logits(model, unlabeled.x), "unlabeled-pool", epoch)
+        _, _, z_u_pool = finite_logits(nn.forward(model, unlabeled.x), "unlabeled-pool", epoch)
         epoch_acc, epoch_nmi, pool_hits = evaluate(
             z_u_pool.argmax(axis=1), truth, unlabeled.num_classes
         )

@@ -502,6 +502,29 @@ def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
     assert err.startswith("i/o error:") and "non-finite parameter" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_checkpoint_exits_4(pipeline):
+    resource = pytest.importorskip("resource")
+    limit = 2**30  # a loader that reads the whole stream stops at a MemoryError here
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "openmix.cli", "eval", "--checkpoint", "/dev/zero",
+            "--data", str(pipeline.root / "data"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "i/o error: /dev/zero: bad magic bytes, not a checkpoint\n"
+
+
 def test_eval_overflowing_logits_exit_3(pipeline, tmp_path, capsys):
     # finite weights whose logits overflow: eval must not score them
     model = load_checkpoint(str(pipeline.root / "out" / "model.omx"))
