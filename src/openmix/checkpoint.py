@@ -37,7 +37,7 @@ def save_checkpoint(path: str, model: TwoHeadMLP) -> None:
     blob += struct.pack(f"<{len(header)}I", *header)
     for p in iter_params(model):
         blob += np.ascontiguousarray(p, dtype="<f8").tobytes()
-    write_atomic(path, bytes(blob))
+    write_atomic(path, (blob,))
 
 
 def load_checkpoint(path: str) -> TwoHeadMLP:

@@ -25,8 +25,9 @@ DATASET_FILE = "dataset.csv"
 PRETRAIN_FILE = "pretrained.omx"
 MODEL_FILE = "model.omx"
 METRICS_FILE = "metrics.csv"
-# Largest `analyze --samples`: the Monte Carlo draws take about
-# 8 * n * (2 * c_u + 3) bytes, about 1 GB at this cap with c_u = 5.
+# Largest `analyze --samples`: the report holds at most three float64 arrays
+# of n values, 24 MB per million cases and about 240 MB at this cap, plus one
+# block of theory.BLOCK_ROWS cases.
 MAX_SAMPLES = 10**7
 
 
@@ -119,12 +120,12 @@ def _cmd_analyze(args) -> int:
         f"difference vs own pseudo-label {difference:.6g}"
     )
 
-    diffs = theory.monte_carlo_mixup(n, args.seed)
-    witnesses = int((diffs < 0).sum())
+    witnesses = int((theory.monte_carlo_mixup(n, args.seed) < 0).sum())
     print(f"plain mixing: {witnesses}/{n} random cases got less reliable")
 
     direct, closed = theory.monte_carlo_inequality(n, args.seed)
-    gap = float(np.abs(direct - closed).max())
+    disagreement = direct - closed
+    gap = float(np.abs(disagreement, out=disagreement).max())
     holds = int((direct >= -theory.AGREEMENT_TOL).sum())
     print(
         f"clean-labeled mixing: {holds}/{n} cases hold, "

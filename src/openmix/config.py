@@ -14,6 +14,11 @@ class ConfigError(Exception):
     """Raised for unknown keys, bad values, or failed validation."""
 
 
+# Largest config or split-spec file: a valid one, with every key set and a
+# comment on each, is a few KB. A read stops one byte past it.
+MAX_CONFIG_BYTES = 2**20
+
+
 def _coerce(name: str, raw: str, typ) -> object:
     raw = raw.strip()
     try:
@@ -157,7 +162,7 @@ class RunConfig:
 
 def load_run_config(path: str, overrides: typing.Sequence[str] = ()) -> RunConfig:
     """Read a RunConfig file, apply `--set key=value` overrides in order, and validate."""
-    cfg = parse_flat(read_text(path, "config", ConfigError), RunConfig)
+    cfg = parse_flat(read_text(path, "config", ConfigError, MAX_CONFIG_BYTES), RunConfig)
     for item in overrides:
         _set(cfg, item, "override")
     return cfg.validate()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_WIDTH, ConfigError, check_finite_floats, parse_flat
-from .fileio import read_text, write_atomic
+from .config import MAX_CONFIG_BYTES, MAX_WIDTH, ConfigError, check_finite_floats, parse_flat
+from .fileio import decode, read_head, read_text, write_atomic
 
 
 class DataFormatError(Exception):
@@ -165,7 +165,8 @@ class SplitSpec:
 
 
 def load_split_spec(path: str) -> SplitSpec:
-    return parse_flat(read_text(path, "split spec", ConfigError), SplitSpec).validate()
+    text = read_text(path, "split spec", ConfigError, MAX_CONFIG_BYTES)
+    return parse_flat(text, SplitSpec).validate()
 
 
 def generate_blobs(spec: SplitSpec) -> Dataset:
@@ -198,19 +199,32 @@ def generate_blobs(spec: SplitSpec) -> Dataset:
     return Dataset(labeled, unlabeled, truth)
 
 
+# Rows per encoded chunk of save_dataset: at input_dim 16 a chunk is about
+# 0.7 MB of text, and the write peaks about 2.6 MB above the dataset at any
+# row count.
+SAVE_CHUNK_ROWS = 2048
+
+
 def save_dataset(path: str, ds: Dataset) -> None:
     """Write header `omx-dataset,v1,input_dim,C_l,C_u` then one row per example.
 
     Features are written as the repr of a Python float, the shortest string
-    that round-trips exactly.
+    that round-trips exactly. The rows are encoded and written SAVE_CHUNK_ROWS
+    at a time, so beside the dataset only one chunk's text and bytes are held.
     """
-    lines = [f"omx-dataset,v1,{ds.input_dim},{ds.c_l},{ds.c_u}"]
     hidden = ds.truth._labels  # same-module persistence path, not an eval read
-    for kind, ys, x in (("L", ds.labeled.y, ds.labeled.x), ("U", hidden, ds.unlabeled.x)):
-        lines.extend(
-            f"{kind},{y},{','.join(map(repr, row))}" for y, row in zip(ys.tolist(), x.tolist())
-        )
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+    def chunks():
+        yield f"omx-dataset,v1,{ds.input_dim},{ds.c_l},{ds.c_u}\n".encode()
+        for kind, ys, x in (("L", ds.labeled.y, ds.labeled.x), ("U", hidden, ds.unlabeled.x)):
+            for start in range(0, len(ys), SAVE_CHUNK_ROWS):
+                rows = slice(start, start + SAVE_CHUNK_ROWS)
+                yield "".join(
+                    f"{kind},{y},{','.join(map(repr, row))}\n"
+                    for y, row in zip(ys[rows].tolist(), x[rows].tolist())
+                ).encode()
+
+    write_atomic(path, chunks())
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -261,9 +275,9 @@ def _read_lines(lines: list[str], input_dim: int, c_l: int, c_u: int):
 
 
 def _read_c(body: bytes, input_dim: int, c_l: int, c_u: int):
-    """The fast route: numpy's C reader parses the body of the writer's bytes at once.
-    None where the body holds no row or another byte, or the reader or a check fails."""
-    if not body.lstrip(b"\n") or body.translate(None, WRITER_ALPHABET):
+    """The fast route: numpy's C reader parses a body of the writer's bytes at once.
+    None where the body holds no row, or the reader or a check fails."""
+    if not body.lstrip(b"\n"):
         return None
     dtype = [("kind", "U2"), ("label", "i8"), ("x", "f8", (input_dim,))]
     # int() reads the class indices, so its digit limit holds on both routes
@@ -277,10 +291,8 @@ def _read_c(body: bytes, input_dim: int, c_l: int, c_u: int):
     return (rows["x"], labels, is_l) if ok.all() and np.isfinite(rows["x"]).all() else None
 
 
-def load_dataset(path: str) -> Dataset:
-    text = read_text(path, "dataset", DataFormatError)
-    head = text.partition("\n")[0]
-    first = head.splitlines()[:1] or text.splitlines()[:1]  # text.splitlines()[:1], cheaply
+def _parse_header(first: list[str]) -> tuple[int, int, int]:
+    """(input_dim, C_l, C_u) from the file's first line, [] where it has none."""
     if not first:
         raise DataFormatError("line 1: missing header")
     fields = first[0].split(",")
@@ -291,11 +303,30 @@ def load_dataset(path: str) -> Dataset:
     c_u = _parse_int(fields[4], 1, "C_u")
     if input_dim < 1 or c_l < 1 or c_u < 1:
         raise DataFormatError("line 1: header counts must be >= 1")
+    return input_dim, c_l, c_u
 
-    # the C reader needs a header ended by "\n", and counts that fit its dtype and int64
-    fits = first[0] == head and input_dim <= MAX_WIDTH and max(c_l, c_u) <= MAX_CLASSES
-    parsed = fits and _read_c(text[len(head) + 1 :].encode(), input_dim, c_l, c_u)
-    x, labels, is_l = parsed or _read_lines(text.splitlines(), input_dim, c_l, c_u)
+
+def load_dataset(path: str) -> Dataset:
+    """The dataset in path, as save_dataset wrote it.
+
+    The file is read once, as bytes. numpy's C reader parses those bytes in
+    place where it may; only the per-line route decodes them to a text copy.
+    """
+    head, body = read_head(path, "dataset", DataFormatError)
+    # A file whose header is ASCII, holds no line break and ends at its first
+    # "\n", over a body of the writer's bytes, is UTF-8 throughout and has that
+    # header as its first line; its counts must fit the C reader's dtype and int64.
+    first = head[:-1].decode("ascii") if head.isascii() and head.endswith(b"\n") else ""
+    parsed = None
+    if first.splitlines() == [first] and not body.translate(None, WRITER_ALPHABET):
+        input_dim, c_l, c_u = _parse_header([first])
+        if input_dim <= MAX_WIDTH and max(c_l, c_u) <= MAX_CLASSES:
+            parsed = _read_c(body, input_dim, c_l, c_u)
+    if parsed is None:
+        lines = decode(head + body, path, "dataset", DataFormatError).splitlines()
+        input_dim, c_l, c_u = _parse_header(lines[:1])
+        parsed = _read_lines(lines, input_dim, c_l, c_u)
+    x, labels, is_l = parsed
     n_l, n_u = int(is_l.sum()), int((~is_l).sum())
     if not n_l or n_u < 2:
         raise DataFormatError(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")

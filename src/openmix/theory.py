@@ -9,7 +9,9 @@ routes that must agree.
 
 Every function takes one case or a block of cases: label vectors lie on the
 last axis, and any leading axes index rows. The Monte Carlo sweeps are
-random draws fed through these same functions a block at a time.
+random draws fed through these same functions a block at a time; each
+block's cases are drawn when that block is computed, so a sweep holds
+only its outputs and one block.
 """
 
 from __future__ import annotations
@@ -118,58 +120,59 @@ def worked_counterexample() -> ErrorCase:
     return ErrorCase(np.array([0.1]), np.array([0.9]), np.array([0.7]), np.array([0.5]), 0.6)
 
 
-# Rows per block of the Monte Carlo sweeps. A large sweep never materialises
-# its (rows, c_l + c_u) temporaries at full length; at 2048 rows each is
-# 160 KB. Timed from 1024 to 16384 rows, 1024 and 2048 were fastest and
-# 16384 about 25% slower: larger blocks pay for fresh pages on every temporary.
+# Rows per block of the Monte Carlo sweeps. A sweep draws each block's cases
+# when it computes that block, in a fixed order per block, so at any n it
+# holds only its outputs and one block: each (rows, c_l + c_u) temporary is
+# 160 KB at 2048 rows. Timed from 1024 to 16384 rows, 1024 and 2048 were
+# fastest and 16384 about 25% slower: larger blocks pay for fresh pages on
+# every temporary.
 BLOCK_ROWS = 2048
 SWEEP_C_L, SWEEP_C_U = 5, 5  # old and new class counts of the sweeps' label vectors
 
 
-def _one_hot_simplex(idx: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-hot truths and exponential-normalized pseudo-labels for one block."""
-    return np.eye(k)[idx], e / e.sum(axis=1, keepdims=True)
+def _blocks(n_cases: int):
+    """Row slices of BLOCK_ROWS rows covering n_cases, with each one's row count."""
+    for start in range(0, n_cases, BLOCK_ROWS):
+        yield slice(start, start + BLOCK_ROWS), min(BLOCK_ROWS, n_cases - start)
+
+
+def _draw_simplex(rng: np.random.Generator, rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot truths, then exponential-normalized pseudo-labels, for one block."""
+    y = np.eye(k)[rng.integers(0, k, size=rows)]
+    e = rng.exponential(1.0, size=(rows, k))
+    return y, e / e.sum(axis=1, keepdims=True)
 
 
 def monte_carlo_inequality(n_cases: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """verify_inequality over random cases.
 
     Returns (direct, closed), one gap per case from each route. Callers
-    check nonnegativity case by case. The draws are made at full length, in
-    a fixed order; the routes then run BLOCK_ROWS rows at a time.
+    check nonnegativity case by case. Each block of BLOCK_ROWS cases is
+    drawn as it is computed, in the order idx_b, e, eta, idx_c: b's class
+    index, the exponentials of its pseudo-label, the weights, and the clean
+    labeled sample's class index.
     """
     rng = np.random.default_rng(seed)
-    idx_b = rng.integers(0, SWEEP_C_U, size=n_cases)
-    e = rng.exponential(1.0, size=(n_cases, SWEEP_C_U))
-    eta = rng.uniform(size=n_cases)
-    idx_c = rng.integers(0, SWEEP_C_L, size=n_cases)
-
     direct = np.empty(n_cases)
     closed = np.empty(n_cases)
-    for start in range(0, n_cases, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        y_b, y_hat_b = _one_hot_simplex(idx_b[rows], e[rows], SWEEP_C_U)
-        y_c = np.eye(SWEEP_C_L)[idx_c[rows]]  # the clean labeled samples
-        direct[rows], closed[rows] = verify_inequality(y_b, y_hat_b, y_c, eta[rows])
+    for rows, n in _blocks(n_cases):
+        y_b, y_hat_b = _draw_simplex(rng, n, SWEEP_C_U)
+        eta = rng.uniform(size=n)
+        y_c = np.eye(SWEEP_C_L)[rng.integers(0, SWEEP_C_L, size=n)]  # the clean labeled samples
+        direct[rows], closed[rows] = verify_inequality(y_b, y_hat_b, y_c, eta)
     return direct, closed
 
 
 def monte_carlo_mixup(n_cases: int, seed: int) -> np.ndarray:
     """mixup_error's differences over random cases (negatives are witnesses).
 
-    Drawn at full length in a fixed order, computed BLOCK_ROWS rows at a time.
+    Each block of BLOCK_ROWS cases is drawn as it is computed, in the order
+    idx_a, e_a, idx_b, e_b, eta.
     """
     rng = np.random.default_rng(seed)
-    idx_a = rng.integers(0, SWEEP_C_U, size=n_cases)
-    e_a = rng.exponential(1.0, size=(n_cases, SWEEP_C_U))
-    idx_b = rng.integers(0, SWEEP_C_U, size=n_cases)
-    e_b = rng.exponential(1.0, size=(n_cases, SWEEP_C_U))
-    eta = rng.uniform(size=n_cases)
-
     diffs = np.empty(n_cases)
-    for start in range(0, n_cases, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        y_a, y_hat_a = _one_hot_simplex(idx_a[rows], e_a[rows], SWEEP_C_U)
-        y_b, y_hat_b = _one_hot_simplex(idx_b[rows], e_b[rows], SWEEP_C_U)
-        diffs[rows] = mixup_error(ErrorCase(y_a, y_hat_a, y_b, y_hat_b, eta[rows]))[1]
+    for rows, n in _blocks(n_cases):
+        y_a, y_hat_a = _draw_simplex(rng, n, SWEEP_C_U)
+        y_b, y_hat_b = _draw_simplex(rng, n, SWEEP_C_U)
+        diffs[rows] = mixup_error(ErrorCase(y_a, y_hat_a, y_b, y_hat_b, rng.uniform(size=n)))[1]
     return diffs

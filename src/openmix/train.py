@@ -247,4 +247,4 @@ def write_metrics_csv(path: str, reports: list[EpochReport]) -> None:
             for name, typ in _COLUMNS
         )
         lines.append(",".join(cells))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, (("\n".join(lines) + "\n").encode("utf-8"),))

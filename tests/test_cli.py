@@ -525,6 +525,33 @@ def test_endless_checkpoint_exits_4(pipeline):
     assert proc.stderr == "i/o error: /dev/zero: bad magic bytes, not a checkpoint\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["pretrain", "--config"], "config"), (["gen-data", "--out", "unused", "--spec"], "split spec")],
+    ids=["config", "spec"],
+)
+def test_endless_config_exits_2(argv, what, tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 2**30  # a reader that takes the whole stream stops at a MemoryError here
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "openmix.cli", *argv, "/dev/zero"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"config error: {what} /dev/zero is larger than {2**20} bytes\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_eval_overflowing_logits_exit_3(pipeline, tmp_path, capsys):
     # finite weights whose logits overflow: eval must not score them
     model = load_checkpoint(str(pipeline.root / "out" / "model.omx"))

@@ -1,6 +1,7 @@
 """Dataset generation, persistence, the truth firewall, and batching."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -293,6 +294,37 @@ def test_save_dataset_bytes_frozen(tmp_path):
     save_dataset(str(path), generate_blobs(SplitSpec(per_class=5000, seed=0)))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "7c684a676e1d646289dd734a8e49adab1e1bea28063beff8183d6ce4775cf62e"
+
+
+def traced_peak(call) -> float:
+    """Bytes at the traced peak of call(), above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_dataset_peak_memory(tmp_path):
+    # a 10k-row, 3.2 MB file: one 2048-row chunk holds its floats as Python
+    # objects (about 1 MB), then its text and its bytes (0.7 MB each), about
+    # 2.6 MB. The whole-file text and bytes alone are 6.3 MB; a writer
+    # building them peaked at 10.1 MB.
+    ds = generate_blobs(SplitSpec(per_class=1000))
+    peak = traced_peak(lambda: save_dataset(str(tmp_path / "ds.csv"), ds))
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_load_dataset_peak_memory(tmp_path, monkeypatch):
+    # the C route on that file: its bytes (3.2 MB), the parsed rows (1.4 MB)
+    # and the split features (1.3 MB) make about 6.1 MB. A loader that also
+    # holds a decoded text copy of the file peaked at 9.5 MB.
+    path = str(tmp_path / "ds.csv")
+    save_dataset(path, generate_blobs(SplitSpec(per_class=1000)))
+    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
+    peak = traced_peak(lambda: load_dataset(path))
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_load_split_spec(tmp_path):

@@ -37,16 +37,26 @@ class HalfWriter:
         raise OSError("disk full")
 
 
-@pytest.mark.parametrize("kind", list(WRITERS))
+def failing_chunks():
+    """Chunks whose iteration fails after the first one is written."""
+    yield b"first chunk\n"
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("kind", [*WRITERS, "failing chunks"])
 def test_failed_write_keeps_previous_file(kind, tmp_path, monkeypatch):
-    write = WRITERS[kind]
+    write = WRITERS.get(kind, WRITERS["dataset"])
     path = tmp_path / "out"
     write(str(path), 0)
     before = path.read_bytes()
 
-    monkeypatch.setattr(fileio, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        write(str(path), 1)
+    if kind == "failing chunks":
+        with pytest.raises(OSError, match="disk full"):
+            fileio.write_atomic(str(path), failing_chunks())
+    else:
+        monkeypatch.setattr(fileio, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write(str(path), 1)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out"]
 

@@ -96,38 +96,26 @@ def test_random_case_structure():
 
 
 def test_monte_carlo_matches_per_case_routines():
-    direct, closed = theory.monte_carlo_inequality(500, seed=4)
-    assert direct.shape == closed.shape == (500,)
-    np.testing.assert_allclose(direct, closed, rtol=0, atol=theory.AGREEMENT_TOL)
-    # replay the sweep's own draws through the scalar path
-    rng = np.random.default_rng(4)
-    n, c_l, c_u = 500, 5, 5
-    y_b = np.zeros((n, c_u))
-    y_b[np.arange(n), rng.integers(0, c_u, size=n)] = 1.0
-    e = rng.exponential(1.0, size=(n, c_u))
-    y_hat_b = e / e.sum(axis=1, keepdims=True)
-    eta = rng.uniform(size=n)
-    y_c = np.zeros((n, c_l))
-    y_c[np.arange(n), rng.integers(0, c_l, size=n)] = 1.0
-    for i in range(0, n, 25):
-        gap, gap_closed = theory.verify_inequality(y_b[i], y_hat_b[i], y_c[i], float(eta[i]))
-        assert gap >= -theory.AGREEMENT_TOL
-        assert gap == pytest.approx(direct[i], abs=1e-12)
-        assert gap_closed == pytest.approx(closed[i], abs=1e-12)
-    # and the plain-mix sweep's draws through mixup_error
-    diffs = theory.monte_carlo_mixup(n, seed=5)
-    rng = np.random.default_rng(5)
-    y_a = np.eye(c_u)[rng.integers(0, c_u, size=n)]
-    e_a = rng.exponential(1.0, size=(n, c_u))
-    y_b = np.eye(c_u)[rng.integers(0, c_u, size=n)]
-    e_b = rng.exponential(1.0, size=(n, c_u))
-    eta = rng.uniform(size=n)
-    for i in range(0, n, 25):
-        case = theory.ErrorCase(
-            y_a=y_a[i], y_hat_a=e_a[i] / e_a[i].sum(),
-            y_b=y_b[i], y_hat_b=e_b[i] / e_b[i].sum(), eta=float(eta[i]),
-        )
-        assert theory.mixup_error(case)[1] == pytest.approx(diffs[i], abs=1e-12)
+    # at BLOCK_ROWS + 7 the replayed rows cross a block boundary
+    for n in (500, theory.BLOCK_ROWS + 7):
+        direct, closed = theory.monte_carlo_inequality(n, seed=4)
+        assert direct.shape == closed.shape == (n,)
+        np.testing.assert_allclose(direct, closed, rtol=0, atol=theory.AGREEMENT_TOL)
+        # replay the sweep's own draws through the scalar path
+        y_b, y_hat_b, eta, y_c = theory_reference.draw_inequality(n, 4, theory.BLOCK_ROWS)
+        for i in range(0, n, 25):
+            gap, gap_closed = theory.verify_inequality(y_b[i], y_hat_b[i], y_c[i], float(eta[i]))
+            assert gap >= -theory.AGREEMENT_TOL
+            assert gap == pytest.approx(direct[i], abs=1e-12)
+            assert gap_closed == pytest.approx(closed[i], abs=1e-12)
+        # and the plain-mix sweep's draws through mixup_error
+        diffs = theory.monte_carlo_mixup(n, seed=5)
+        y_a, y_hat_a, y_b, y_hat_b, eta = theory_reference.draw_mixup(n, 5, theory.BLOCK_ROWS)
+        for i in range(0, n, 25):
+            case = theory.ErrorCase(
+                y_a=y_a[i], y_hat_a=y_hat_a[i], y_b=y_b[i], y_hat_b=y_hat_b[i], eta=float(eta[i])
+            )
+            assert theory.mixup_error(case)[1] == pytest.approx(diffs[i], abs=1e-12)
 
 
 def test_one_eta_serves_every_row_of_a_block():
@@ -198,11 +186,12 @@ def test_monte_carlo_mixup_distribution():
 def test_blocked_sweeps_equal_unblocked_reference(n, seed):
     c_l, c_u = theory.SWEEP_C_L, theory.SWEEP_C_U
     direct, closed = theory.monte_carlo_inequality(n, seed)
-    want_direct, want_closed = theory_reference.monte_carlo_inequality(n, seed, c_l=c_l, c_u=c_u)
+    rows = theory.BLOCK_ROWS
+    want_direct, want_closed = theory_reference.monte_carlo_inequality(n, seed, rows, c_l, c_u)
     assert direct.tobytes() == want_direct.tobytes()
     assert closed.tobytes() == want_closed.tobytes()
     got = theory.monte_carlo_mixup(n, seed)
-    assert got.tobytes() == theory_reference.monte_carlo_mixup(n, seed, c_u=c_u).tobytes()
+    assert got.tobytes() == theory_reference.monte_carlo_mixup(n, seed, rows, c_u=c_u).tobytes()
 
 
 def test_monte_carlo_inequality_peak_memory():
@@ -216,3 +205,16 @@ def test_monte_carlo_inequality_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_monte_carlo_mixup_peak_memory():
+    # 200k cases: the output holds 1.6 MB and one block's temporaries, about
+    # ten (2048, 5) arrays, under 1 MB. Drawing every case first holds 21 MB
+    # of draws; such a sweep peaked at 23.2 MB.
+    tracemalloc.start()
+    try:
+        theory.monte_carlo_mixup(200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
