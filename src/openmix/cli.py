@@ -25,8 +25,8 @@ DATASET_FILE = "dataset.csv"
 PRETRAIN_FILE = "pretrained.omx"
 MODEL_FILE = "model.omx"
 METRICS_FILE = "metrics.csv"
-# Largest `analyze --samples`: the report holds at most three float64 arrays
-# of n values, 24 MB per million cases and about 240 MB at this cap, plus one
+# Largest `analyze --samples`: the report holds at most two float64 arrays
+# of n values, 16 MB per million cases and about 160 MB at this cap, plus one
 # block of theory.BLOCK_ROWS cases.
 MAX_SAMPLES = 10**7
 
@@ -124,7 +124,7 @@ def _cmd_analyze(args) -> int:
     print(f"plain mixing: {witnesses}/{n} random cases got less reliable")
 
     direct, closed = theory.monte_carlo_inequality(n, args.seed)
-    disagreement = direct - closed
+    disagreement = np.subtract(direct, closed, out=closed)
     gap = float(np.abs(disagreement, out=disagreement).max())
     holds = int((direct >= -theory.AGREEMENT_TOL).sum())
     print(

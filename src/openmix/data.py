@@ -7,6 +7,7 @@ evaluation-only registry so training code cannot touch it.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 from array import array
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_CONFIG_BYTES, MAX_WIDTH, ConfigError, check_finite_floats, parse_flat
-from .fileio import decode, read_head, read_text, write_atomic
+from .fileio import read_text, write_atomic
 
 
 class DataFormatError(Exception):
@@ -263,7 +264,7 @@ def _check_line(row: list[str], lineno: int, input_dim: int, c_l: int, c_u: int)
 
 
 def _read_lines(lines: list[str], input_dim: int, c_l: int, c_u: int):
-    """The exact route: (x, labels, is_l) from one data line at a time, or the first fault."""
+    """The exact route: (x_l, y_l, x_u, y_u) from one data line at a time, or the first fault."""
     x, labels, is_l = array("d"), [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if line:
@@ -271,24 +272,57 @@ def _read_lines(lines: list[str], input_dim: int, c_l: int, c_u: int):
             x.extend(feats)
             labels.append(label)
             is_l.append(row_is_l)
-    return np.frombuffer(x).reshape(-1, input_dim), np.array(labels, np.int64), np.array(is_l, bool)
+    x = np.frombuffer(x).reshape(-1, input_dim)
+    labels, is_l = np.array(labels, np.int64), np.array(is_l, bool)
+    return x[is_l], labels[is_l], x[~is_l], labels[~is_l]
 
 
-def _read_c(body: bytes, input_dim: int, c_l: int, c_u: int):
-    """The fast route: numpy's C reader parses a body of the writer's bytes at once.
-    None where the body holds no row, or the reader or a check fails."""
-    if not body.lstrip(b"\n"):
+def _read_c(chunk: bytes, input_dim: int, c_l: int, c_u: int):
+    """The fast route: numpy's C reader parses a chunk of the writer's bytes at once.
+    (x_l, y_l, x_u, y_u), or None where the chunk holds a byte outside WRITER_ALPHABET,
+    or the reader or a check fails."""
+    if chunk.translate(None, WRITER_ALPHABET):
         return None
     dtype = [("kind", "U2"), ("label", "i8"), ("x", "f8", (input_dim,))]
     # int() reads the class indices, so its digit limit holds on both routes
     read = dict(delimiter=",", comments=None, converters={1: int}, ndmin=1)
+    has_rows = chunk.count(b"\n") < len(chunk)  # loadtxt warns on blank lines only
     try:
-        rows = np.loadtxt(io.BytesIO(body), dtype, **read)
+        rows = np.loadtxt(io.BytesIO(chunk), dtype, **read) if has_rows else np.empty(0, dtype)
     except ValueError:
         return None
-    is_l, labels = rows["kind"] == "L", rows["label"]
+    x, labels, is_l = rows["x"], rows["label"], rows["kind"] == "L"
     ok = (is_l | (rows["kind"] == "U")) & (labels >= 0) & (labels < np.where(is_l, c_l, c_u))
-    return (rows["x"], labels, is_l) if ok.all() and np.isfinite(rows["x"]).all() else None
+    if not (ok.all() and np.isfinite(x).all()):
+        return None
+    return x[is_l], labels[is_l], x[~is_l], labels[~is_l]
+
+
+def _check_rows(n_l: int, n_u: int, c_l: int, c_u: int) -> None:
+    if max(n_l * c_l, n_u * c_u) > MAX_SPLIT_VALUES:
+        raise DataFormatError(f"rows x classes must be <= {MAX_SPLIT_VALUES} on each side")
+
+
+# Bytes the C route reads at a time, then on to the end of that line: about
+# 3300 rows at input_dim 16, whose parsed table takes about 0.5 MB.
+LOAD_CHUNK_BYTES = 2**20
+
+
+def _read_chunks(fh, input_dim: int, c_l: int, c_u: int):
+    """The C route over the rest of fh, one line-aligned chunk at a time: the joined
+    (x_l, y_l, x_u, y_u), or None where nothing follows the header or _read_c refuses
+    a chunk. The first chunk that takes a side past the rows x classes cap raises,
+    and no more of the file is read."""
+    parts, n_l, n_u = [], 0, 0
+    while chunk := fh.read(LOAD_CHUNK_BYTES):
+        chunk += fh.readline()
+        part = _read_c(chunk, input_dim, c_l, c_u)
+        if part is None:
+            return None
+        parts.append(part)
+        n_l, n_u = n_l + len(part[1]), n_u + len(part[3])
+        _check_rows(n_l, n_u, c_l, c_u)
+    return [np.concatenate(arrays) for arrays in zip(*parts)] if parts else None
 
 
 def _parse_header(first: list[str]) -> tuple[int, int, int]:
@@ -309,36 +343,37 @@ def _parse_header(first: list[str]) -> tuple[int, int, int]:
 def load_dataset(path: str) -> Dataset:
     """The dataset in path, as save_dataset wrote it.
 
-    The file is read once, as bytes. numpy's C reader parses those bytes in
-    place where it may; only the per-line route decodes them to a text copy.
+    numpy's C reader parses the file LOAD_CHUNK_BYTES at a time where it may,
+    so the loader holds one chunk's bytes and parsed rows beside the split
+    arrays. The first chunk it refuses sends the whole file to the per-line
+    route, which reads it again as one text.
     """
-    head, body = read_head(path, "dataset", DataFormatError)
-    # A file whose header is ASCII, holds no line break and ends at its first
-    # "\n", over a body of the writer's bytes, is UTF-8 throughout and has that
-    # header as its first line; its counts must fit the C reader's dtype and int64.
-    first = head[:-1].decode("ascii") if head.isascii() and head.endswith(b"\n") else ""
     parsed = None
-    if first.splitlines() == [first] and not body.translate(None, WRITER_ALPHABET):
-        input_dim, c_l, c_u = _parse_header([first])
-        if input_dim <= MAX_WIDTH and max(c_l, c_u) <= MAX_CLASSES:
-            parsed = _read_c(body, input_dim, c_l, c_u)
+    # an unreadable file fails on the per-line route, with read_text's typed error
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        head = fh.readline()
+        # A header that is ASCII, holds no line break and ends at its first "\n"
+        # is the first line on both routes; its counts must fit the C reader's
+        # dtype and int64.
+        first = head[:-1].decode("ascii") if head.isascii() and head.endswith(b"\n") else ""
+        if first.splitlines() == [first]:
+            input_dim, c_l, c_u = _parse_header([first])
+            if input_dim <= MAX_WIDTH and max(c_l, c_u) <= MAX_CLASSES:
+                parsed = _read_chunks(fh, input_dim, c_l, c_u)
     if parsed is None:
-        lines = decode(head + body, path, "dataset", DataFormatError).splitlines()
+        lines = read_text(path, "dataset", DataFormatError).splitlines()
         input_dim, c_l, c_u = _parse_header(lines[:1])
         parsed = _read_lines(lines, input_dim, c_l, c_u)
-    x, labels, is_l = parsed
-    n_l, n_u = int(is_l.sum()), int((~is_l).sum())
+    x_l, y_l, x_u, y_u = parsed
+    n_l, n_u = len(y_l), len(y_u)
     if not n_l or n_u < 2:
         raise DataFormatError(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")
     if max(c_l, c_u) > MAX_CLASSES:
         raise DataFormatError(f"line 1: class counts must be <= {MAX_CLASSES}, got {c_l} and {c_u}")
     if input_dim > MAX_WIDTH:
         raise DataFormatError(f"line 1: input_dim must be <= {MAX_WIDTH}, got {input_dim}")
-    if max(n_l * c_l, n_u * c_u) > MAX_SPLIT_VALUES:
-        raise DataFormatError(f"rows x classes must be <= {MAX_SPLIT_VALUES} on each side")
-    labeled = LabeledSet(x[is_l], labels[is_l], c_l)
-    unlabeled = UnlabeledSet(x[~is_l], c_u)
-    return Dataset(labeled, unlabeled, HiddenTruth(labels[~is_l]))
+    _check_rows(n_l, n_u, c_l, c_u)
+    return Dataset(LabeledSet(x_l, y_l, c_l), UnlabeledSet(x_u, c_u), HiddenTruth(y_u))
 
 
 def batch_iter(data, batch_size: int, seed: int, epoch: int):

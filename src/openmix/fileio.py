@@ -7,36 +7,20 @@ import os
 from collections.abc import Iterable
 
 
-def read_head(path: str, what: str, error: type[Exception], cap: int | None = None):
-    """(first line, rest) of a file as bytes, the line's "\\n" kept, each read once.
-
-    An unreadable file, or one of more than `cap` bytes, raises `error`; a
-    capped read stops at cap + 1 bytes.
-    """
-    limit = -1 if cap is None else cap + 1
+def read_text(path: str, what: str, error: type[Exception], cap: int | None = None) -> str:
+    """Read a UTF-8 file; an unreadable or non-UTF-8 file, or one of more than `cap`
+    bytes, raises `error`. A capped read stops at cap + 1 bytes."""
     try:
         with open(path, "rb") as fh:
-            head = fh.readline(limit)
-            rest = fh.read(-1 if cap is None else limit - len(head))
+            data = fh.read(-1 if cap is None else cap + 1)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    if cap is not None and len(head) + len(rest) > cap:
+    if cap is not None and len(data) > cap:
         raise error(f"{what} {path} is larger than {cap} bytes")
-    return head, rest
-
-
-def decode(data: bytes, path: str, what: str, error: type[Exception]) -> str:
-    """`data`, read from `path`, as UTF-8 text; other bytes raise `error`."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
-
-
-def read_text(path: str, what: str, error: type[Exception], cap: int | None = None) -> str:
-    """Read a UTF-8 file; an unreadable or non-UTF-8 file, or one of more than `cap`
-    bytes, raises `error`."""
-    return decode(b"".join(read_head(path, what, error, cap)), path, what, error)
 
 
 def write_atomic(path: str, chunks: Iterable[bytes]) -> None:

@@ -1,6 +1,7 @@
 """Dataset generation, persistence, the truth firewall, and batching."""
 
 import hashlib
+import os
 import tracemalloc
 import warnings
 
@@ -252,18 +253,47 @@ def test_load_dataset_row_errors(tmp_path):
 @pytest.mark.parametrize("route", ["c-reader", "per-line"])
 def test_rows_times_classes_cap(route, tmp_path, monkeypatch):
     # a 4096-class one-hot takes 32 KB a row: 4096 rows reach the cap, one more is beyond it
-    if route == "per-line":
-        monkeypatch.setattr(data, "_read_c", lambda *args: None)
+    read_c, chunks = data._read_c, []
+
+    def counted_read_c(chunk, *args):
+        chunks.append(chunk)
+        return read_c(chunk, *args)
+
+    # 8-byte rows, 513 to a chunk on the C route, then 4096 U rows after the L rows
+    monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", 4096)
+    monkeypatch.setattr(data, "_read_c", counted_read_c if route == "c-reader" else lambda *a: None)
     c_l = data.MAX_CLASSES
     path = tmp_path / "tall.csv"
+    tail = "U,0,1.0\nU,1,2.0\n" * 2048
     for n_l in (data.MAX_SPLIT_VALUES // c_l, data.MAX_SPLIT_VALUES // c_l + 1):
-        path.write_text(f"omx-dataset,v1,1,{c_l},2\n" + "L,7,0.5\n" * n_l + "U,0,1.0\nU,1,2.0\n")
+        chunks.clear()
+        path.write_text(f"omx-dataset,v1,1,{c_l},2\n" + "L,7,0.5\n" * n_l + tail)
         if n_l * c_l <= data.MAX_SPLIT_VALUES:
             ds = load_dataset(str(path))
             assert len(ds.labeled) == n_l and ds.c_l == c_l
         else:
             with pytest.raises(DataFormatError, match=f"rows x classes must be <= {2**24}"):
                 load_dataset(str(path))
+            if route == "c-reader":
+                # the C route stops at the chunk that holds the row past the cap
+                parsed = b"".join(chunks)
+                assert b"".join(chunks[:-1]).count(b"L") < n_l == parsed.count(b"L")
+                assert parsed.count(b"U") < 513
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 97, 4096], ids=["default", "1", "97", "4096"])
+def test_blank_lines_and_no_final_newline_at_every_chunk_size(chunk_bytes, tmp_path, monkeypatch):
+    # a writer file with blank lines between and around its rows, cut before its last
+    # newline: chunks of only blank lines, and a last chunk with no line end
+    if chunk_bytes is not None:
+        monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
+    ds = generate_blobs(tiny_spec(seed=5))
+    path = tmp_path / "ds.csv"
+    save_dataset(str(path), ds)
+    head, *rows = path.read_bytes().splitlines()
+    path.write_bytes(head + b"\n\n" + b"\n\n\n".join(rows))
+    assert load_dataset(str(path)) == ds
 
 
 def test_save_dataset_exact_text(tmp_path):
@@ -317,14 +347,25 @@ def test_save_dataset_peak_memory(tmp_path):
 
 
 def test_load_dataset_peak_memory(tmp_path, monkeypatch):
-    # the C route on that file: its bytes (3.2 MB), the parsed rows (1.4 MB)
-    # and the split features (1.3 MB) make about 6.1 MB. A loader that also
-    # holds a decoded text copy of the file peaked at 9.5 MB.
+    # the C route on that file, four chunks: one 1 MiB chunk's bytes and parsed rows
+    # (0.5 MB), and the split arrays (1.4 MB) held once in parts and once joined,
+    # traced at 3.5 MB. A loader that held the file's bytes and all its parsed rows
+    # peaked at 6.3 MB; one that also held a decoded text copy, at 9.5 MB.
     path = str(tmp_path / "ds.csv")
     save_dataset(path, generate_blobs(SplitSpec(per_class=1000)))
     monkeypatch.setattr(data, "_read_lines", None)  # the C route only
     peak = traced_peak(lambda: load_dataset(path))
-    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 4.5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_load_dataset_peak_below_file_size(tmp_path, monkeypatch):
+    # a 20k-row, 6.3 MB file of six chunks: the split arrays twice (5.5 MB) set the
+    # peak, below the file's own size; a whole-file loader held about twice it
+    path = str(tmp_path / "ds.csv")
+    save_dataset(path, generate_blobs(SplitSpec(per_class=2000)))
+    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
+    peak = traced_peak(lambda: load_dataset(path))
+    assert peak < os.path.getsize(path), f"peak {peak / 1e6:.1f} MB"
 
 
 def test_load_split_spec(tmp_path):

@@ -8,7 +8,8 @@ would print as a traceback. The dataset loader must also match the
 per-line reference loader on every variant, on mutations drawn from the
 writer's own bytes and on hand-built files with several faults or edge
 tokens: the same Dataset, or the same error and message. It must do so on
-both of its routes, numpy's C reader and the per-line parser.
+both of its routes, numpy's C reader and the per-line parser, and with the
+C reader's chunks cut at several sizes.
 """
 
 import dataclasses
@@ -211,13 +212,24 @@ def alphabet_mutations(blob, rng):
         yield bytes(mutated)
 
 
-@pytest.mark.parametrize("route", ["c-reader", "per-line"])
-def test_loader_matches_per_line_reference(route, tmp_path, monkeypatch):
-    read_c, decided = data._read_c, []
+# the C route's chunk sizes: the default, a line per chunk, and chunks that end mid-file
+# at many offsets; the ids of the default size name the route alone
+CHUNKINGS = [
+    pytest.param(route, size, id=route if size is None else f"{route}-chunk{size}")
+    for size in (None, 1, 97)
+    for route in ("c-reader", "per-line")
+]
+
+
+@pytest.mark.parametrize("route, chunk_bytes", CHUNKINGS)
+def test_loader_matches_per_line_reference(route, chunk_bytes, tmp_path, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", chunk_bytes)
+    read_c, accepted = data._read_c, []
 
     def counted_read_c(*args):
         parsed = read_c(*args) if route == "c-reader" else None
-        decided.append(parsed is not None)
+        accepted.append(parsed is not None)
         return parsed
 
     monkeypatch.setattr(data, "_read_c", counted_read_c)
@@ -228,12 +240,14 @@ def test_loader_matches_per_line_reference(route, tmp_path, monkeypatch):
     variants = list(corruptions(blob, np.random.default_rng(7)))
     variants += alphabet_mutations(blob, np.random.default_rng(8))
     variants += [v for lines in multi_fault_files() for v in files_bytes(lines)]
-    loaded = 0
+    loaded = decided = 0
     for variant in variants:
         with open(path, "wb") as fh:
             fh.write(variant)
         want = outcome(dataset_reference.load_dataset, path)
+        accepted.clear()
         got = outcome(load_dataset, path)
+        decided += bool(accepted) and all(accepted)  # the C route took every chunk
         if isinstance(want, tuple) and want[0] is OverflowError:
             # the reference's one untyped failure: an index beyond int64 the header allows
             assert got[0] is DataFormatError and "out of range" in got[1], variant
@@ -254,4 +268,4 @@ def test_loader_matches_per_line_reference(route, tmp_path, monkeypatch):
     assert 0 < loaded < len(variants)
     # a fair share for the C reader: most variants are faulty, and it decides over half as
     # many as load
-    assert sum(decided) > loaded / 2 if route == "c-reader" else not any(decided)
+    assert decided > loaded / 2 if route == "c-reader" else not decided

@@ -13,8 +13,9 @@ def test_prints_one_line_per_command():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )}
+    # 4000 rows make a 1.3 MB file, so each load reads it in two chunks
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--per-class", "20", "--samples", "1000"],
+        [sys.executable, str(SCRIPT), "--per-class", "400", "--samples", "1000"],
         capture_output=True,
         text=True,
         timeout=120,
