@@ -1,13 +1,17 @@
 """Print the sha256 of checkpoint + metrics bytes for a fixed set of runs,
 then of the `omx analyze --samples 1000000` report at seeds 0 and 1, then
-of what `load_dataset` returns for three dataset files.
+of what `load_dataset` returns for three dataset files, then of the
+pretrained checkpoint of two of the runs.
 
 Each configuration runs build_model -> pretrain -> attach_new_head ->
 cluster_train on SplitSpec(seed=seed) with the case's "split" fields, then
 writes the checkpoint and the metrics CSV. The printed digest covers the
-checkpoint bytes followed by the CSV bytes.
+checkpoint bytes followed by the CSV bytes. That checkpoint's new head is
+attach_new_head's fresh one, so the "pretrain <case>" lines also hash what
+`omx pretrain` writes: the checkpoint saved right after pretrain, before
+attach_new_head.
 
-experiments/run_hashes.txt holds the 19 lines this script prints for the
+experiments/run_hashes.txt holds the 21 lines this script prints for the
 committed code, taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
 (Haswell kernels) on a 2-core Intel Xeon. A change meant to keep runs
 byte-identical shows an empty
@@ -30,8 +34,8 @@ running this copy with PYTHONPATH pointing at the parent's src/.
 
 BLAS threading is pinned to one thread before numpy loads, because a
 multi-threaded BLAS may sum in a different order from run to run. All 14
-runs, both reports and the three loads take about 20 s on a shared 2-core
-Xeon, more under load.
+runs, both reports, the three loads and the two pretrains take about 21 s
+on a shared 2-core Xeon, more under load.
 """
 
 from __future__ import annotations
@@ -81,15 +85,29 @@ CONFIGS = {
 }
 ANALYZE_SEEDS = (0, 1)
 LOAD_SEEDS = (0, 1)
+PRETRAIN_CASES = ("full seed 0", "short hidden_dims=[32]")
 DIGIT_PAIR = re.compile(r"(\d)(\d)")
 
 
-def run_digest(seed: int, fields: dict, workdir: str) -> str:
+def pretrained(seed: int, fields: dict):
     fields = dict(fields)
     ds = data.generate_blobs(data.SplitSpec(seed=seed, **fields.pop("split", {})))
     cfg = RunConfig(seed=seed, **fields).validate()
     model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
     train.pretrain(model, ds.labeled, cfg)
+    return ds, cfg, model
+
+
+def file_digest(*paths: str) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def run_digest(seed: int, fields: dict, workdir: str) -> str:
+    ds, cfg, model = pretrained(seed, fields)
     train.attach_new_head(model, ds.c_u, train.stream_seed(cfg.seed, train.TAG_HEAD))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the no-anchor warning
@@ -98,11 +116,13 @@ def run_digest(seed: int, fields: dict, workdir: str) -> str:
     metrics_path = os.path.join(workdir, "metrics.csv")
     save_checkpoint(model_path, model)
     train.write_metrics_csv(metrics_path, reports)
-    digest = hashlib.sha256()
-    for path in (model_path, metrics_path):
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-    return digest.hexdigest()
+    return file_digest(model_path, metrics_path)
+
+
+def pretrain_digest(seed: int, fields: dict, workdir: str) -> str:
+    model_path = os.path.join(workdir, "pretrained.omx")
+    save_checkpoint(model_path, pretrained(seed, fields)[2])
+    return file_digest(model_path)
 
 
 def analyze_digest(seed: int) -> str:
@@ -150,6 +170,8 @@ def main() -> int:
         spaced = path + ".spaced"
         spaced_copy(path, spaced)
         print(f"{load_digest(spaced)}  load seed 0 with spaces and underscores", flush=True)
+        for name in PRETRAIN_CASES:
+            print(f"{pretrain_digest(*CONFIGS[name], workdir)}  pretrain {name}", flush=True)
     return 0
 
 

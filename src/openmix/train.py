@@ -76,24 +76,27 @@ def finite_logits(out: tuple, component: str, epoch: int | None = None) -> tuple
 def pretrain(model: nn.TwoHeadMLP, labeled: LabeledSet, cfg: RunConfig) -> float:
     """Stage 1: cross-entropy on old classes. Returns final training accuracy.
 
-    The new head is silent in backward: its gradient is exactly zero, so its
-    parameters and its optimizer state stay untouched.
+    It runs on a view of model with a zero-width new head and the same backbone
+    and old-head arrays, so steps update model in place. model.new_head, which
+    attach_new_head replaces, is never read or written and holds no RMSprop state.
     """
     if len(labeled) == 0:
         raise ValueError("labeled set is empty")
-    opt = RmspropState(model, cfg.lr)
+    no_new = nn.Affine(np.empty((model.feature_dim, 0)), np.empty(0))
+    net = nn.TwoHeadMLP(model.backbone, model.old_head, no_new)
+    opt = RmspropState(net, cfg.lr)
     onehot = labeled.one_hot()
     seed = stream_seed(cfg.seed, TAG_STAGE1)
     for epoch in range(1, cfg.pretrain_epochs + 1):
         for idx in batch_iter(labeled, cfg.batch_labeled, seed, epoch):
-            acts, z_l, _ = finite_logits(nn.forward(model, labeled.x[idx]), "labeled-batch", epoch)
+            acts, z_l, _ = finite_logits(nn.forward(net, labeled.x[idx]), "labeled-batch", epoch)
             loss, g_l = losses.cross_entropy(z_l, onehot[idx])
             _check_finite(loss, "cross-entropy loss", epoch)
-            nn.backward(model, acts, g_l, None, opt.grad)
-            opt.step(model)
+            nn.backward(net, acts, g_l, None, opt.grad)
+            opt.step(net)
             # an overflowed moment would silently freeze its parameter: g / inf = 0
             _check_finite(opt.flat.max(), "RMSprop second moments", epoch)
-    _, z_l, _ = finite_logits(nn.forward(model, labeled.x), "labeled-set", cfg.pretrain_epochs)
+    _, z_l, _ = finite_logits(nn.forward(net, labeled.x), "labeled-set", cfg.pretrain_epochs)
     return float((z_l.argmax(axis=1) == labeled.y).mean())
 
 

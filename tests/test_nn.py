@@ -244,6 +244,25 @@ def test_backward_both_heads_silent_is_all_zeros():
     assert model_params_flat(got).size == model_params_flat(m).size
 
 
+@pytest.mark.parametrize("hidden", [(), (32,)])
+def test_zero_width_new_head_matches_the_full_model(hidden):
+    # init_model rejects width 0, so the head is built by hand; pretraining
+    # runs on such a view of the model
+    m = tiny_model(seed=12, hidden=hidden)
+    empty = nn.Affine(np.empty((m.feature_dim, 0)), np.empty(0))
+    view = nn.TwoHeadMLP(m.backbone, m.old_head, empty)
+    rng = np.random.default_rng(13)
+    x, gl = rng.normal(size=(7, 6)), rng.normal(size=(7, 2))
+    _, z_l, z_u = nn.forward(view, x)
+    assert z_u.shape == (7, 0)
+    assert z_l.tobytes() == nn.forward(m, x)[1].tobytes()
+    got = _grads(view, x, gl, None)
+    want = _grads(m, x, gl, None)
+    # the new head comes last in parameter order
+    n_new = m.new_head.w.size + m.c_u
+    assert model_params_flat(got).tobytes() == model_params_flat(want)[:-n_new].tobytes()
+
+
 def test_frozen_backward_adds_only_the_head_gradients():
     m = tiny_model()
     rng = np.random.default_rng(6)

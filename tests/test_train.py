@@ -107,16 +107,28 @@ def test_pretrain_separable_blobs_high_accuracy():
     assert acc >= 0.99
 
 
-def test_pretrain_leaves_new_head_untouched():
+def test_pretrain_leaves_new_head_untouched(monkeypatch):
+    # pretraining never reads the new head, so a NaN in it neither diverges
+    # the run nor costs it optimizer state
     spec = tiny_spec(seed=2)
     ds = data.generate_blobs(spec)
     cfg = tiny_config(seed=2)
     model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
-    before_w = model.new_head.w.copy()
-    before_b = model.new_head.b.copy()
+    model.new_head.w[0, 0] = np.nan
+    before_w = model.new_head.w.tobytes()
+    before_b = model.new_head.b.tobytes()
+    states = []
+
+    def recording(*args, **kwargs):
+        states.append(optim.RmspropState(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(train, "RmspropState", recording)
     train.pretrain(model, ds.labeled, cfg)
-    assert np.array_equal(model.new_head.w, before_w)
-    assert np.array_equal(model.new_head.b, before_b)
+    assert model.new_head.w.tobytes() == before_w
+    assert model.new_head.b.tobytes() == before_b
+    live = nn.parameter_count(ds.input_dim, cfg.hidden_dims, cfg.feature_dim, ds.c_l, 0)
+    assert len(states) == 1 and states[0].flat.size == live
 
 
 @pytest.mark.parametrize("hidden_dims", [[], [32]])
