@@ -3,13 +3,12 @@ then of the `omx analyze --samples 1000000` report at seeds 0 and 1, then
 of what `load_dataset` returns for three dataset files, then of the
 pretrained checkpoint of two of the runs.
 
-Each configuration runs build_model -> pretrain -> attach_new_head ->
-cluster_train on SplitSpec(seed=seed) with the case's "split" fields, then
-writes the checkpoint and the metrics CSV. The printed digest covers the
-checkpoint bytes followed by the CSV bytes. That checkpoint's new head is
-attach_new_head's fresh one, so the "pretrain <case>" lines also hash what
-`omx pretrain` writes: the checkpoint saved right after pretrain, before
-attach_new_head.
+Each configuration runs omx itself, in this process: it writes a split spec
+(the case's "split" fields and its seed) and a run config (the case's other
+fields, its seed, and a temp directory as data_dir and out_dir), then runs
+`omx gen-data`, `omx pretrain` and `omx cluster`. The printed digest covers
+the bytes of model.omx followed by those of metrics.csv. The "pretrain <case>"
+lines hash the pretrained.omx the same runs wrote.
 
 experiments/run_hashes.txt holds the 21 lines this script prints for the
 committed code, taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
@@ -34,8 +33,8 @@ running this copy with PYTHONPATH pointing at the parent's src/.
 
 BLAS threading is pinned to one thread before numpy loads, because a
 multi-threaded BLAS may sum in a different order from run to run. All 14
-runs, both reports, the three loads and the two pretrains take about 21 s
-on a shared 2-core Xeon, more under load.
+runs, both reports and the three loads take about 15 s on a shared 2-core
+Xeon, more under load.
 """
 
 from __future__ import annotations
@@ -52,9 +51,7 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
 
-from openmix import cli, data, train  # noqa: E402
-from openmix.checkpoint import save_checkpoint  # noqa: E402
-from openmix.config import RunConfig  # noqa: E402
+from openmix import cli, data  # noqa: E402
 
 SHORT = dict(pretrain_epochs=30, cluster_epochs=12)
 
@@ -89,49 +86,50 @@ PRETRAIN_CASES = ("full seed 0", "short hidden_dims=[32]")
 DIGIT_PAIR = re.compile(r"(\d)(\d)")
 
 
-def pretrained(seed: int, fields: dict):
-    fields = dict(fields)
-    ds = data.generate_blobs(data.SplitSpec(seed=seed, **fields.pop("split", {})))
-    cfg = RunConfig(seed=seed, **fields).validate()
-    model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
-    train.pretrain(model, ds.labeled, cfg)
-    return ds, cfg, model
+def omx(*argv: str) -> str:
+    """Run one omx command in this process and return its stdout; a nonzero exit raises."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the no-anchor warning
+        rc = cli.main(list(argv))
+    if rc != 0:
+        raise RuntimeError(f"omx {argv[0]} exited {rc}")
+    return out.getvalue()
 
 
-def file_digest(*paths: str) -> str:
+def write_flat(path: str, fields: dict) -> str:
+    """Write fields as a `key = value` file, a list comma-separated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in fields.items():
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            fh.write(f"{key} = {text}\n")
+    return path
+
+
+def file_digest(workdir: str, *names: str) -> str:
     digest = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as fh:
+    for name in names:
+        with open(os.path.join(workdir, name), "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
 
 
-def run_digest(seed: int, fields: dict, workdir: str) -> str:
-    ds, cfg, model = pretrained(seed, fields)
-    train.attach_new_head(model, ds.c_u, train.stream_seed(cfg.seed, train.TAG_HEAD))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the no-anchor warning
-        reports = train.cluster_train(model, ds, cfg)
-    model_path = os.path.join(workdir, "model.omx")
-    metrics_path = os.path.join(workdir, "metrics.csv")
-    save_checkpoint(model_path, model)
-    train.write_metrics_csv(metrics_path, reports)
-    return file_digest(model_path, metrics_path)
-
-
-def pretrain_digest(seed: int, fields: dict, workdir: str) -> str:
-    model_path = os.path.join(workdir, "pretrained.omx")
-    save_checkpoint(model_path, pretrained(seed, fields)[2])
-    return file_digest(model_path)
+def run_digests(seed: int, fields: dict, workdir: str) -> tuple[str, str]:
+    """Run gen-data, pretrain and cluster for one case in workdir: the digests of
+    model.omx + metrics.csv and of pretrained.omx."""
+    fields = dict(fields, seed=seed, data_dir=workdir, out_dir=workdir)
+    spec = write_flat(os.path.join(workdir, "split.spec"), dict(fields.pop("split", {}), seed=seed))
+    config = write_flat(os.path.join(workdir, "run.cfg"), fields)
+    omx("gen-data", "--spec", spec, "--out", workdir)
+    omx("pretrain", "--config", config)
+    omx("cluster", "--config", config, "--checkpoint", os.path.join(workdir, cli.PRETRAIN_FILE))
+    run = file_digest(workdir, cli.MODEL_FILE, cli.METRICS_FILE)
+    return run, file_digest(workdir, cli.PRETRAIN_FILE)
 
 
 def analyze_digest(seed: int) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(["analyze", "--samples", "1000000", "--seed", str(seed)])
-    if rc != 0:
-        raise RuntimeError(f"omx analyze exited {rc}")
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    report = omx("analyze", "--samples", "1000000", "--seed", str(seed))
+    return hashlib.sha256(report.encode("utf-8")).hexdigest()
 
 
 def load_digest(path: str) -> str:
@@ -156,9 +154,11 @@ def spaced_copy(src: str, dst: str) -> None:
 
 
 def main() -> int:
+    pretrains = {}
     with tempfile.TemporaryDirectory(prefix="run-hashes-") as workdir:
         for name, (seed, fields) in CONFIGS.items():
-            print(f"{run_digest(seed, fields, workdir)}  {name}", flush=True)
+            run, pretrains[name] = run_digests(seed, fields, workdir)
+            print(f"{run}  {name}", flush=True)
     for seed in ANALYZE_SEEDS:
         print(f"{analyze_digest(seed)}  analyze --samples 1000000 --seed {seed}", flush=True)
     with tempfile.TemporaryDirectory(prefix="run-hashes-") as workdir:
@@ -170,8 +170,8 @@ def main() -> int:
         spaced = path + ".spaced"
         spaced_copy(path, spaced)
         print(f"{load_digest(spaced)}  load seed 0 with spaces and underscores", flush=True)
-        for name in PRETRAIN_CASES:
-            print(f"{pretrain_digest(*CONFIGS[name], workdir)}  pretrain {name}", flush=True)
+    for name in PRETRAIN_CASES:
+        print(f"{pretrains[name]}  pretrain {name}", flush=True)
     return 0
 
 

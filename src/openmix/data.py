@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -279,8 +280,8 @@ def _read_lines(lines: list[str], input_dim: int, c_l: int, c_u: int):
 
 def _read_c(chunk: bytes, input_dim: int, c_l: int, c_u: int):
     """The fast route: numpy's C reader parses a chunk of the writer's bytes at once.
-    (x_l, y_l, x_u, y_u), or None where the chunk holds a byte outside WRITER_ALPHABET,
-    or the reader or a check fails."""
+    (x_l, y_l, x_u, y_u), empty for a chunk of no rows, or None where the chunk holds
+    a byte outside WRITER_ALPHABET, or the reader or a check fails."""
     if chunk.translate(None, WRITER_ALPHABET):
         return None
     dtype = [("kind", "U2"), ("label", "i8"), ("x", "f8", (input_dim,))]
@@ -310,11 +311,10 @@ LOAD_CHUNK_BYTES = 2**20
 
 def _read_chunks(fh, input_dim: int, c_l: int, c_u: int):
     """The C route over the rest of fh, one line-aligned chunk at a time: the joined
-    (x_l, y_l, x_u, y_u), or None where nothing follows the header or _read_c refuses
-    a chunk. The first chunk that takes a side past the rows x classes cap raises,
-    and no more of the file is read."""
+    (x_l, y_l, x_u, y_u), or None where _read_c refuses a chunk. The first chunk that
+    takes a side past the rows x classes cap raises, and no more of the file is read."""
     parts, n_l, n_u = [], 0, 0
-    while chunk := fh.read(LOAD_CHUNK_BYTES):
+    while (chunk := fh.read(LOAD_CHUNK_BYTES)) or not parts:  # an empty body is one chunk
         chunk += fh.readline()
         part = _read_c(chunk, input_dim, c_l, c_u)
         if part is None:
@@ -322,7 +322,12 @@ def _read_chunks(fh, input_dim: int, c_l: int, c_u: int):
         parts.append(part)
         n_l, n_u = n_l + len(part[1]), n_u + len(part[3])
         _check_rows(n_l, n_u, c_l, c_u)
-    return [np.concatenate(arrays) for arrays in zip(*parts)] if parts else None
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+# The C route takes only the writer's header, and reads at most its longest form within the caps
+WRITER_HEADER = re.compile(rb"omx-dataset,v1,([1-9][0-9]*),([1-9][0-9]*),([1-9][0-9]*)\n")
+HEADER_BYTES = len(f"omx-dataset,v1,{MAX_WIDTH},{MAX_CLASSES},{MAX_CLASSES}\n")
 
 
 def _parse_header(first: list[str]) -> tuple[int, int, int]:
@@ -343,21 +348,16 @@ def _parse_header(first: list[str]) -> tuple[int, int, int]:
 def load_dataset(path: str) -> Dataset:
     """The dataset in path, as save_dataset wrote it.
 
-    numpy's C reader parses the file LOAD_CHUNK_BYTES at a time where it may,
-    so the loader holds one chunk's bytes and parsed rows beside the split
-    arrays. The first chunk it refuses sends the whole file to the per-line
-    route, which reads it again as one text.
+    Behind the writer's header, numpy's C reader parses the file LOAD_CHUNK_BYTES
+    at a time, holding one chunk's bytes and parsed rows beside the split arrays.
+    It only accelerates: the first chunk it refuses sends the file to the per-line
+    route, which reads it again as one text and decides every fault.
     """
     parsed = None
     # an unreadable file fails on the per-line route, with read_text's typed error
     with contextlib.suppress(OSError), open(path, "rb") as fh:
-        head = fh.readline()
-        # A header that is ASCII, holds no line break and ends at its first "\n"
-        # is the first line on both routes; its counts must fit the C reader's
-        # dtype and int64.
-        first = head[:-1].decode("ascii") if head.isascii() and head.endswith(b"\n") else ""
-        if first.splitlines() == [first]:
-            input_dim, c_l, c_u = _parse_header([first])
+        if head := WRITER_HEADER.fullmatch(fh.readline(HEADER_BYTES)):
+            input_dim, c_l, c_u = map(int, head.groups())
             if input_dim <= MAX_WIDTH and max(c_l, c_u) <= MAX_CLASSES:
                 parsed = _read_chunks(fh, input_dim, c_l, c_u)
     if parsed is None:

@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference gradients, tiny fixtures, the
 loss oracles (cosine matrix, two-log PPL, PLL), the network's explicit-feature
 route and the helpers that only tests call (log_softmax, zero gradients,
-random theory cases)."""
+random theory cases, recorded file reads)."""
 
 import numpy as np
 
@@ -62,6 +62,34 @@ def pll_reference(z, labels, assigned):
         return 0.0
     logp = log_softmax(z)
     return float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
+
+
+class RecordingFile:
+    """A binary file that records the byte count each read or readline asks for."""
+
+    def __init__(self, path, asked):
+        self.fh, self.asked = open(path, "rb"), asked
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def read(self, size=-1):
+        self.asked.append(size)
+        return self.fh.read(size)
+
+    def readline(self, size=-1):
+        self.asked.append(size)
+        return self.fh.readline(size)
+
+
+def recorded_reads(monkeypatch, module) -> list:
+    """The byte counts that the reads of files module opens ask for, from now on."""
+    asked = []
+    monkeypatch.setattr(module, "open", lambda p, mode: RecordingFile(p, asked), raising=False)
+    return asked
 
 
 def tiny_spec(seed=0):

@@ -7,7 +7,7 @@ import pytest
 
 from openmix import checkpoint, nn
 from openmix.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from helpers import model_params_flat, tiny_model
+from helpers import model_params_flat, recorded_reads, tiny_model
 
 
 def test_roundtrip_bitwise(tmp_path):
@@ -121,37 +121,13 @@ def test_oversized_header_rejected_before_the_payload(case, tmp_path):
         load_checkpoint(str(path))
 
 
-class RecordingFile:
-    """A binary file that records the byte count each read asks for."""
-
-    def __init__(self, path, asked):
-        self.fh, self.asked = open(path, "rb"), asked
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def read(self, size=-1):
-        self.asked.append(size)
-        return self.fh.read(size)
-
-
-def recorded_reads(monkeypatch) -> list:
-    """The byte counts that load_checkpoint's reads ask for, from now on."""
-    asked = []
-    monkeypatch.setattr(checkpoint, "open", lambda p, mode: RecordingFile(p, asked), raising=False)
-    return asked
-
-
 def test_loader_reads_the_payload_plus_one_byte(tmp_path, monkeypatch):
     m = tiny_model(hidden=(4, 3))
     count = nn.parameter_count(m.input_dim, m.hidden_dims, m.feature_dim, m.c_l, m.c_u)
     path = tmp_path / "m.omx"
     save_checkpoint(str(path), m)
     size = path.stat().st_size
-    asked = recorded_reads(monkeypatch)
+    asked = recorded_reads(monkeypatch, checkpoint)
     load_checkpoint(str(path))
     assert min(asked) >= 0 and sum(asked) == size + 1
     # a megabyte of trailing data is caught by that one byte, not read
@@ -166,7 +142,7 @@ def test_loader_reads_the_payload_plus_one_byte(tmp_path, monkeypatch):
 def test_loader_reads_no_widths_past_the_cap(tmp_path, monkeypatch):
     path = tmp_path / "m.omx"
     path.write_bytes(b"OMX1" + struct.pack("<2I", 3, 2**32 - 1) + bytes(2**20))
-    asked = recorded_reads(monkeypatch)
+    asked = recorded_reads(monkeypatch, checkpoint)
     with pytest.raises(CheckpointError, match="hidden_dims must hold at most 64 widths"):
         load_checkpoint(str(path))
     # magic, input_dim and the count, then one width past the cap and the three dims

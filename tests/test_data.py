@@ -23,7 +23,7 @@ from openmix.data import (
     load_split_spec,
     save_dataset,
 )
-from helpers import tiny_spec
+from helpers import recorded_reads, tiny_spec
 
 
 def test_split_spec_defaults_validate():
@@ -186,7 +186,9 @@ def test_writer_made_file_never_falls_back(spec, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-lines"])
-def test_empty_body_fails_without_warning(body, tmp_path):
+def test_empty_body_fails_without_warning(body, tmp_path, monkeypatch):
+    # a body of no rows stays on the C route: the file is read once
+    monkeypatch.setattr(data, "_read_lines", None)
     path = tmp_path / "ds.csv"
     path.write_text("omx-dataset,v1,2,1,2\n" + body)
     with warnings.catch_warnings():
@@ -206,6 +208,17 @@ def test_load_dataset_header_errors(tmp_path):
     path.write_text("omx-dataset,v2,4,1,2\n")
     with pytest.raises(DataFormatError, match="line 1"):
         load_dataset(str(path))
+
+
+def test_long_first_line_read_only_to_the_header_bound(tmp_path, monkeypatch):
+    # a 1 MiB first line with no "\n": the C route reads no more of it than the longest
+    # header within the caps before the per-line route takes the file
+    path = tmp_path / "ds.csv"
+    path.write_bytes(b"omx-dataset,v1," + b"9" * 2**20)
+    asked = recorded_reads(monkeypatch, data)
+    with pytest.raises(DataFormatError, match="line 1: bad header"):
+        load_dataset(str(path))
+    assert asked and min(asked) >= 0 and sum(asked) <= 32
 
 
 def test_load_dataset_row_errors(tmp_path):

@@ -7,9 +7,10 @@ UnicodeDecodeError, a bare ValueError, an IndexError) is a bug the CLI
 would print as a traceback. The dataset loader must also match the
 per-line reference loader on every variant, on mutations drawn from the
 writer's own bytes and on hand-built files with several faults or edge
-tokens: the same Dataset, or the same error and message. It must do so on
-both of its routes, numpy's C reader and the per-line parser, and with the
-C reader's chunks cut at several sizes.
+tokens: the same Dataset, or the same error and message. That holds too for
+faulty headers over a body that is not UTF-8, where the whole-file UTF-8
+check decides first. It must do so on both of its routes, numpy's C reader
+and the per-line parser, and with the C reader's chunks cut at several sizes.
 """
 
 import dataclasses
@@ -187,6 +188,12 @@ def multi_fault_files():
         yield [HUGE_HEAD, *valid[:2], line, *valid[2:]]
 
 
+# headers the writer never writes, each over a body with a byte that is not UTF-8
+BAD_HEADS = ["omx-dataset,v2,2,2,3", "omx-dataset,v1,2,0,3", "omx-dataset,v1,2,x,3",
+             "omx-dataset,v1,2,2,3,4"]
+NON_UTF8_BODY = b"L,0,1.0,2.0\nU,0,\xff1.0,2.0\nU,1,1.0,2.0\n"
+
+
 def files_bytes(lines):
     """A file's lines as written, with blank lines between them, and without the final newline."""
     yield ("\n".join(lines) + "\n").encode()
@@ -240,6 +247,7 @@ def test_loader_matches_per_line_reference(route, chunk_bytes, tmp_path, monkeyp
     variants = list(corruptions(blob, np.random.default_rng(7)))
     variants += alphabet_mutations(blob, np.random.default_rng(8))
     variants += [v for lines in multi_fault_files() for v in files_bytes(lines)]
+    variants += [f"{head}\n".encode() + NON_UTF8_BODY for head in BAD_HEADS]
     loaded = decided = 0
     for variant in variants:
         with open(path, "wb") as fh:
