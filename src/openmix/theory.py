@@ -9,9 +9,9 @@ routes that must agree.
 
 Every function takes one case or a block of cases: label vectors lie on the
 last axis, and any leading axes index rows. The Monte Carlo sweeps are
-random draws fed through these same functions a block at a time; each
-block's cases are drawn when that block is computed, so a sweep holds
-only its outputs and one block.
+random draws fed through these same functions a block at a time, each
+block's cases drawn when it is computed. A sweep yields each block's
+outputs and holds only that block; monte_carlo_* gather them into arrays.
 """
 
 from __future__ import annotations
@@ -122,18 +122,11 @@ def worked_counterexample() -> ErrorCase:
 
 # Rows per block of the Monte Carlo sweeps. A sweep draws each block's cases
 # when it computes that block, in a fixed order per block, so at any n it
-# holds only its outputs and one block: each (rows, c_l + c_u) temporary is
-# 160 KB at 2048 rows. Timed from 1024 to 16384 rows, 1024 and 2048 were
-# fastest and 16384 about 25% slower: larger blocks pay for fresh pages on
-# every temporary.
+# holds one block: each (rows, c_l + c_u) temporary is 160 KB at 2048 rows.
+# Timed from 1024 to 16384 rows, 1024 and 2048 were fastest and 16384 about
+# 25% slower: larger blocks pay for fresh pages on every temporary.
 BLOCK_ROWS = 2048
 SWEEP_C_L, SWEEP_C_U = 5, 5  # old and new class counts of the sweeps' label vectors
-
-
-def _blocks(n_cases: int):
-    """Row slices of BLOCK_ROWS rows covering n_cases, with each one's row count."""
-    for start in range(0, n_cases, BLOCK_ROWS):
-        yield slice(start, start + BLOCK_ROWS), min(BLOCK_ROWS, n_cases - start)
 
 
 def _draw_simplex(rng: np.random.Generator, rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,36 +136,40 @@ def _draw_simplex(rng: np.random.Generator, rows: int, k: int) -> tuple[np.ndarr
     return y, e / e.sum(axis=1, keepdims=True)
 
 
-def monte_carlo_inequality(n_cases: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """verify_inequality over random cases.
+def inequality_blocks(n_cases: int, seed: int):
+    """verify_inequality's (direct, closed) over random cases, one pair per block.
 
-    Returns (direct, closed), one gap per case from each route. Callers
-    check nonnegativity case by case. Each block of BLOCK_ROWS cases is
-    drawn as it is computed, in the order idx_b, e, eta, idx_c: b's class
-    index, the exponentials of its pseudo-label, the weights, and the clean
-    labeled sample's class index.
+    Each block is drawn as it is computed, in the order idx_b, e, eta, idx_c:
+    b's class, its pseudo-label's exponentials, the weights, clean c's class.
     """
     rng = np.random.default_rng(seed)
-    direct = np.empty(n_cases)
-    closed = np.empty(n_cases)
-    for rows, n in _blocks(n_cases):
+    for start in range(0, n_cases, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, n_cases - start)
         y_b, y_hat_b = _draw_simplex(rng, n, SWEEP_C_U)
         eta = rng.uniform(size=n)
         y_c = np.eye(SWEEP_C_L)[rng.integers(0, SWEEP_C_L, size=n)]  # the clean labeled samples
-        direct[rows], closed[rows] = verify_inequality(y_b, y_hat_b, y_c, eta)
-    return direct, closed
+        yield verify_inequality(y_b, y_hat_b, y_c, eta)
+
+
+def mixup_blocks(n_cases: int, seed: int):
+    """mixup_error's differences (negatives are witnesses), one array per block.
+
+    Each block is drawn as it is computed, in the order idx_a, e_a, idx_b, e_b, eta.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_cases, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, n_cases - start)
+        y_a, y_hat_a = _draw_simplex(rng, n, SWEEP_C_U)
+        y_b, y_hat_b = _draw_simplex(rng, n, SWEEP_C_U)
+        yield mixup_error(ErrorCase(y_a, y_hat_a, y_b, y_hat_b, rng.uniform(size=n)))[1]
+
+
+def monte_carlo_inequality(n_cases: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """inequality_blocks gathered into (direct, closed); an empty first block serves n = 0."""
+    direct, closed = zip((np.empty(0), np.empty(0)), *inequality_blocks(n_cases, seed))
+    return np.concatenate(direct), np.concatenate(closed)
 
 
 def monte_carlo_mixup(n_cases: int, seed: int) -> np.ndarray:
-    """mixup_error's differences over random cases (negatives are witnesses).
-
-    Each block of BLOCK_ROWS cases is drawn as it is computed, in the order
-    idx_a, e_a, idx_b, e_b, eta.
-    """
-    rng = np.random.default_rng(seed)
-    diffs = np.empty(n_cases)
-    for rows, n in _blocks(n_cases):
-        y_a, y_hat_a = _draw_simplex(rng, n, SWEEP_C_U)
-        y_b, y_hat_b = _draw_simplex(rng, n, SWEEP_C_U)
-        diffs[rows] = mixup_error(ErrorCase(y_a, y_hat_a, y_b, y_hat_b, rng.uniform(size=n)))[1]
-    return diffs
+    """mixup_blocks gathered into one difference per case."""
+    return np.concatenate([np.empty(0), *mixup_blocks(n_cases, seed)])

@@ -7,13 +7,15 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from openmix import cli, train
+from openmix import cli, theory, train
 from openmix.checkpoint import load_checkpoint, save_checkpoint
 from openmix.data import load_dataset
 
@@ -574,12 +576,45 @@ def test_analyze_bad_arguments_exit_2(flag, value, capsys, monkeypatch):
         raise AssertionError("bad arguments reached the Monte Carlo sweep")
 
     # the arguments fail before any draw is allocated
-    monkeypatch.setattr(cli.theory, "monte_carlo_mixup", refuse)
-    monkeypatch.setattr(cli.theory, "monte_carlo_inequality", refuse)
+    sweeps = ("mixup_blocks", "inequality_blocks", "monte_carlo_mixup", "monte_carlo_inequality")
+    for name in sweeps:
+        monkeypatch.setattr(cli.theory, name, refuse)
+    with pytest.raises(AssertionError, match="reached the Monte Carlo sweep"):
+        cli.main(["analyze", "--samples", "1"])  # valid arguments do reach a refused sweep
     rc = cli.main(["analyze", flag, value])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--samples >= 1" in err
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 10_000])
+def test_analyze_streamed_report_equals_full_arrays(n, seed, capsys):
+    direct, closed = theory.monte_carlo_inequality(n, seed)
+    holds, low, mean, gap = cli._fold_inequality(n, seed)
+    assert holds == int((direct >= -theory.AGREEMENT_TOL).sum())
+    assert low == direct.min()
+    assert gap == np.abs(direct - closed).max()
+    assert mean == pytest.approx(direct.mean(), rel=1e-12, abs=0)
+
+    witnesses = int((theory.monte_carlo_mixup(n, seed) < 0).sum())
+    assert cli.main(["analyze", "--samples", str(n), "--seed", str(seed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"plain mixing: {witnesses}/{n} random cases got less reliable"
+    assert lines[3].startswith(f"clean-labeled mixing: {holds}/{n} cases hold, min difference ")
+
+
+def test_analyze_memory_does_not_grow_with_samples(capsys):
+    # one array of 400k float64 values is 3.2 MB; the report folds each block
+    # as it arrives, so only one block's temporaries (about 1.2 MB) are live
+    cli.main(["analyze", "--samples", "10"])  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert cli.main(["analyze", "--samples", "400000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_analyze_report_contents():
