@@ -59,7 +59,6 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a divergence check names the overflow
 def _cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config, args.set)
     ds = _load_data(cfg.data_dir)
@@ -73,7 +72,6 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a divergence check names the overflow
 def _cmd_cluster(args) -> int:
     cfg = load_run_config(args.config, args.set)
     ds = _load_data(cfg.data_dir)
@@ -94,7 +92,6 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a divergence check names the overflow
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     ds = _load_data(args.data)
@@ -174,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # a divergence check names the overflow
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the shutdown flush
         return code
     except BrokenPipeError:

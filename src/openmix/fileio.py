@@ -9,12 +9,14 @@ from collections.abc import Iterable
 
 def read_text(path: str, what: str, error: type[Exception], cap: int | None = None) -> str:
     """Read a UTF-8 file; an unreadable or non-UTF-8 file, or one of more than `cap`
-    bytes, raises `error`. A capped read stops at cap + 1 bytes."""
+    bytes or than memory holds, raises `error`. A capped read stops at cap + 1 bytes."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(-1 if cap is None else cap + 1)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+    except MemoryError:
+        raise error(f"{what} {path} does not fit in memory") from None
     if cap is not None and len(data) > cap:
         raise error(f"{what} {path} is larger than {cap} bytes")
     try:

@@ -74,17 +74,17 @@ class MixedBatch(NamedTuple):
     """A drawn and mixed batch whose labels wait for the unlabeled predictions.
 
     Row i mixes unlabeled row unl_rows[i] with a partner: a labeled example
-    when from_labeled[i], else an anchor. lab_labels holds the one-hot
-    labels of the labeled partners and anc_labels the labels of the anchor
-    partners, each in row order.
+    when from_labeled[i], else an anchor. old_share ++ new_share is the
+    partner's share of each row's joint label: eta* times its label,
+    [one-hot ++ zeros] for a labeled partner, [zeros ++ label] for an anchor.
     """
 
     m: np.ndarray  # (B, d) mixed inputs
     eta_star: np.ndarray  # (B,) the partner's folded weight
     from_labeled: np.ndarray  # (B,) source flag
     unl_rows: np.ndarray  # (B,) drawn unlabeled row indices, repeats included
-    lab_labels: np.ndarray  # (n_lab, C_l)
-    anc_labels: np.ndarray  # (B - n_lab, C_u)
+    old_share: np.ndarray  # (B, C_l)
+    new_share: np.ndarray  # (B, C_u)
 
 
 def build_mixed_batch(
@@ -101,9 +101,9 @@ def build_mixed_batch(
     """Draw one mixed batch by uniform pairing with replacement and mix its inputs.
 
     When both sources are active each row flips a fair coin between them.
-    The mixed inputs need no prediction, so they are built here; the joint
-    labels need the drawn unlabeled rows' predictions, which mixed_labels()
-    takes.
+    The mixed inputs and the partner's share of the joint labels need no
+    prediction, so they are built here; the rest of the joint labels needs
+    the drawn unlabeled rows' predictions, which mixed_labels() takes.
 
     Draw order is fixed so a seeded rng reproduces the batch: the sources
     (only when both are active), the labeled rows, the anchor rows, the
@@ -140,35 +140,26 @@ def build_mixed_batch(
 
     w = eta_star[:, None]
     m = w * partner_x + (1.0 - w) * unlabeled_x[unl_rows]
-    return MixedBatch(m, eta_star, from_labeled, unl_rows, lab_labels, anchors.labels[anc_rows])
+    old_share = np.zeros((size, lab_labels.shape[1]))
+    old_share[from_labeled] = w[from_labeled] * lab_labels + 0.0  # -0.0 slots become +0.0
+    new_share = np.zeros((size, anchors.labels.shape[1]))
+    new_share[~from_labeled] = w[~from_labeled] * anchors.labels[anc_rows]
+    return MixedBatch(m, eta_star, from_labeled, unl_rows, old_share, new_share)
 
 
 def mixed_labels(batch: MixedBatch, pred: np.ndarray) -> np.ndarray:
-    """The (B, C_l + C_u) joint labels of a mixed batch.
-
-    pred holds the (B, C_u) distributions over the new classes of the
-    batch's unlabeled rows, batch.unl_rows, in row order. A labeled
-    partner's label is [one-hot ++ zeros], an anchor's and a prediction's
-    [zeros ++ distribution]; each row mixes its partner's with its
-    prediction's at the batch's weight.
+    """The (B, C_l + C_u) joint labels of a mixed batch: its partner's share plus
+    (1 - eta*) times pred, the (B, C_u) new-class distributions of the
+    batch's unlabeled rows, batch.unl_rows, in row order.
 
     Raises ValueError when pred is not one distribution per row.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    size = batch.eta_star.shape[0]
-    if pred.ndim != 2 or pred.shape[0] != size:
+    if pred.shape != batch.new_share.shape:
         raise ValueError("need one distribution per drawn unlabeled row")
     _check_simplex(pred, "predictions")
-    c_l, c_u = batch.lab_labels.shape[1], pred.shape[1]
-
-    partner_v = np.zeros((size, c_l + c_u))
-    partner_v[batch.from_labeled, :c_l] = batch.lab_labels
-    partner_v[~batch.from_labeled, c_l:] = batch.anc_labels
-    own_v = np.zeros((size, c_l + c_u))
-    own_v[:, c_l:] = pred
-
     w = batch.eta_star[:, None]
-    return w * partner_v + (1.0 - w) * own_v
+    return np.concatenate([batch.old_share, batch.new_share + (1.0 - w) * pred], axis=1)
 
 
 def opm_loss(

@@ -554,6 +554,33 @@ def test_endless_config_exits_2(argv, what, tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_dataset_exits_4(pipeline, tmp_path):
+    # the per-line route reads the whole file; with no byte cap on a dataset,
+    # only an address-space limit stops it, and that must give a typed error
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+    dataset = tmp_path / cli.DATASET_FILE
+    dataset.symlink_to("/dev/zero")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "openmix.cli", "eval",
+            "--checkpoint", str(pipeline.root / "out" / cli.MODEL_FILE), "--data", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == f"i/o error: dataset {dataset} does not fit in memory\n"
+
+
 def test_eval_overflowing_logits_exit_3(pipeline, tmp_path, capsys):
     # finite weights whose logits overflow: eval must not score them
     model = load_checkpoint(str(pipeline.root / "out" / "model.omx"))

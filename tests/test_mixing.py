@@ -198,6 +198,8 @@ REFERENCE_CASES = {
     "labeled only, empty anchor set": dict(
         size=64, no_anchors=True, use_labeled=True, use_anchors=False
     ),
+    # -0.0 passes the label checks; w * -0.0 + (1 - w) * 0.0 is +0.0 in the reference
+    "-0.0 in label zeros": dict(size=64, negative_zeros=True, use_labeled=True, use_anchors=True),
 }
 
 
@@ -213,6 +215,12 @@ def test_build_mixed_batch_matches_per_row_reference(case):
         pool_logits = np.random.default_rng(8).normal(size=(n_unl, 3)) * 4
         anchors = mixing.select_anchors(pool_logits, 0.6)
         assert len(anchors) > 0
+    if kw.pop("negative_zeros", False):
+        labeled_onehot = np.where(labeled_onehot == 0.0, -0.0, labeled_onehot)
+        anchors = mixing.AnchorSet(
+            anchors.indices, np.where(anchors.labels == 0.0, -0.0, anchors.labels)
+        )
+        assert np.signbit(labeled_onehot).any() and np.signbit(anchors.labels).any()
 
     class Recorder:
         """pred_u for the reference: records every row it is asked for."""
@@ -297,8 +305,9 @@ def test_build_mixed_batch_rejections():
     batch = mixing.build_mixed_batch(
         4, x, onehot, x, none, 1.0, rng, use_labeled=True, use_anchors=False,
     )
-    with pytest.raises(ValueError, match="one distribution per drawn unlabeled row"):
-        mixing.mixed_labels(batch, np.full((2, 2), 0.5))
+    for pred in (np.full((2, 2), 0.5), np.full((4, 4), 0.25)):  # too few rows, too wide
+        with pytest.raises(ValueError, match="one distribution per drawn unlabeled row"):
+            mixing.mixed_labels(batch, pred)
 
 
 def test_opm_loss_corner_value():
