@@ -174,26 +174,26 @@ def load_split_spec(path: str) -> SplitSpec:
 def generate_blobs(spec: SplitSpec) -> Dataset:
     """Sample one Gaussian cluster per class.
 
-    Centers sit at (separation / sqrt(2)) * e_k so every pair of distinct
-    centers is exactly `separation` apart. First c_l clusters become the
-    labeled set; the rest become unlabeled with hidden ground truth.
+    Centers sit at (separation / sqrt(2)) * e_k so every pair of distinct centers is exactly
+    `separation` apart. First c_l clusters become the labeled set; the rest become unlabeled
+    with hidden ground truth. Each class is drawn straight into its rows of one array.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     total = spec.c_l + spec.c_u
     scale = spec.separation / np.sqrt(2.0)
-    blocks = []
+    x = np.empty((total * spec.per_class, spec.input_dim))
+    blocks = x.reshape(total, spec.per_class, spec.input_dim)  # a view: one block per class
     try:
         with np.errstate(over="raise"):
             for k in range(total):
                 center = np.zeros(spec.input_dim)
                 center[k] = scale
                 noise = rng.standard_normal((spec.per_class, spec.input_dim))
-                blocks.append(center + spec.sigma * noise)
+                np.add(center, spec.sigma * noise, out=blocks[k])
     except FloatingPointError:
         raise ConfigError("separation and sigma overflow the features to infinity") from None
     n_l = spec.c_l * spec.per_class
-    x = np.concatenate(blocks, axis=0)
     labels = np.repeat(np.arange(total), spec.per_class)
     labeled = LabeledSet(x[:n_l], labels[:n_l], spec.c_l)
     unlabeled = UnlabeledSet(x[n_l:], spec.c_u)
@@ -304,25 +304,40 @@ def _check_rows(n_l: int, n_u: int, c_l: int, c_u: int) -> None:
         raise DataFormatError(f"rows x classes must be <= {MAX_SPLIT_VALUES} on each side")
 
 
-# Bytes the C route reads at a time, then on to the end of that line: about
-# 3300 rows at input_dim 16, whose parsed table takes about 0.5 MB.
+# Bytes the C route reads at a time, then on to the end of that line: about 3300 rows at
+# input_dim 16, whose parsed table takes about 0.5 MB. At 256 KiB a load took 10% longer.
 LOAD_CHUNK_BYTES = 2**20
 
 
 def _read_chunks(fh, input_dim: int, c_l: int, c_u: int):
-    """The C route over the rest of fh, one line-aligned chunk at a time: the joined
-    (x_l, y_l, x_u, y_u), or None where _read_c refuses a chunk. The first chunk that
-    takes a side past the rows x classes cap raises, and no more of the file is read."""
-    parts, n_l, n_u = [], 0, 0
-    while (chunk := fh.read(LOAD_CHUNK_BYTES)) or not parts:  # an empty body is one chunk
+    """The C route over the rest of fh, one line-aligned chunk at a time: (x_l, y_l, x_u, y_u),
+    or None where _read_c refuses a chunk. A first pass counts each side's kind bytes, up to
+    the rows x classes cap, then a second fills the split arrays allocated at those counts. Its
+    first chunk past the cap raises, and no more is read. Rows not as counted give None."""
+    body, n_l, n_u = fh.tell(), 0, 0
+    while max(n_l * c_l, n_u * c_u) <= MAX_SPLIT_VALUES and (chunk := fh.read(LOAD_CHUNK_BYTES)):
         chunk += fh.readline()
-        part = _read_c(chunk, input_dim, c_l, c_u)
-        if part is None:
+        # a row that _read_c takes holds one L or U byte: its kind
+        n_l += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("L"))
+        n_u += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("U"))
+        if (n_l + n_u) * (2 * input_dim + 3) > fh.tell() - body:
+            return None  # a row's 2 + input_dim fields are nonempty: 2 * input_dim + 3 bytes
+    fh.seek(body)
+    x_l, y_l = np.empty((n_l, input_dim)), np.empty(n_l, np.int64)
+    x_u, y_u = np.empty((n_u, input_dim)), np.empty(n_u, np.int64)
+    i_l = i_u = 0
+    while chunk := fh.read(LOAD_CHUNK_BYTES):
+        chunk += fh.readline()
+        if (part := _read_c(chunk, input_dim, c_l, c_u)) is None:
             return None
-        parts.append(part)
-        n_l, n_u = n_l + len(part[1]), n_u + len(part[3])
-        _check_rows(n_l, n_u, c_l, c_u)
-    return [np.concatenate(arrays) for arrays in zip(*parts)]
+        j_l, j_u = i_l + len(part[1]), i_u + len(part[3])
+        _check_rows(j_l, j_u, c_l, c_u)
+        if j_l > n_l or j_u > n_u:
+            return None
+        x_l[i_l:j_l], y_l[i_l:j_l], x_u[i_u:j_u], y_u[i_u:j_u] = part
+        i_l, i_u = j_l, j_u
+        del part  # not held while the next chunk is read
+    return (x_l, y_l, x_u, y_u) if (i_l, i_u) == (n_l, n_u) else None
 
 
 # The C route takes only the writer's header, and reads at most its longest form within the caps
@@ -348,10 +363,10 @@ def _parse_header(first: list[str]) -> tuple[int, int, int]:
 def load_dataset(path: str) -> Dataset:
     """The dataset in path, as save_dataset wrote it.
 
-    Behind the writer's header, numpy's C reader parses the file LOAD_CHUNK_BYTES
-    at a time, holding one chunk's bytes and parsed rows beside the split arrays.
-    It only accelerates: the first chunk it refuses sends the file to the per-line
-    route, which reads it again as one text and decides every fault.
+    Behind the writer's header, one pass counts each side's rows, then numpy's C reader
+    parses the file LOAD_CHUNK_BYTES at a time into split arrays allocated once. It only
+    accelerates: the first chunk it refuses sends the file to the per-line route, which
+    reads it again as one text and decides every fault.
     """
     parsed = None
     # an unreadable file fails on the per-line route, with read_text's typed error

@@ -27,9 +27,7 @@ def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 
 def contingency(pred: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     """k x k count table; rows are predicted clusters, columns true classes."""
-    table = np.zeros((k, k), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
-    return table
+    return np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
 
 
 def assignment_solver(score: np.ndarray) -> np.ndarray:

@@ -64,10 +64,10 @@ class AnchorSet:
 
 
 def select_anchors(z_u_pool: np.ndarray, theta2: float) -> AnchorSet:
-    """Pick every example whose max softmax is >= theta2, labeled by losses.pseudo_labels."""
-    labels, assigned = pseudo_labels(softmax(np.asarray(z_u_pool, dtype=np.float64)), theta2)
-    idx = np.flatnonzero(assigned)
-    return AnchorSet(idx.astype(np.int64), labels[idx])
+    """Pick every example whose max softmax is >= theta2, labeled by pseudo_labels of its row."""
+    p = softmax(np.asarray(z_u_pool, dtype=np.float64))
+    idx = np.flatnonzero(p.max(axis=1) >= theta2)
+    return AnchorSet(idx.astype(np.int64), pseudo_labels(p[idx], theta2)[0])
 
 
 class MixedBatch(NamedTuple):

@@ -31,9 +31,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
     Accepts a vector or a batch of row vectors. Raises ValueError on
     non-finite input; the output always lies on the probability simplex.
+    The exponentials are divided in place: no second array of their size.
     """
-    _, e, total = shifted_exp(logits)
-    return e / total
+    e, total = shifted_exp(logits)[1:]
+    return np.divide(e, total, out=e)
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:

@@ -143,12 +143,13 @@ def cluster_train(
 
     reports: list[EpochReport] = []
     warned_no_anchors = False
-    _, _, z_u_pool = finite_logits(nn.forward(model, unlabeled.x), "unlabeled-pool", 1)
+    z_u_pool = finite_logits(nn.forward(model, unlabeled.x), "unlabeled-pool", 1)[-1]
     pool_hits = metrics.best_map_hits(
         z_u_pool.argmax(axis=1), truth.labels_for_eval(), unlabeled.num_classes
     )
     for epoch in range(1, cfg.cluster_epochs + 1):
         anchors = mixing.select_anchors(z_u_pool, cfg.theta2)
+        del z_u_pool  # the end-of-epoch scoring then holds one set of pool logits
         # an anchor's max softmax is at least theta2 > 0.5, so its captured
         # cluster is its pool row's argmax and its hit is that row's hit
         anchor_acc = float(pool_hits[anchors.indices].mean()) if len(anchors) else float("nan")
@@ -217,7 +218,7 @@ def cluster_train(
             pll_sum += pll
             n_batches += 1
 
-        _, _, z_u_pool = finite_logits(nn.forward(model, unlabeled.x), "unlabeled-pool", epoch)
+        z_u_pool = finite_logits(nn.forward(model, unlabeled.x), "unlabeled-pool", epoch)[-1]
         epoch_acc, epoch_nmi, pool_hits = evaluate(
             z_u_pool.argmax(axis=1), truth, unlabeled.num_classes
         )

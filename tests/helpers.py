@@ -1,7 +1,9 @@
 """Shared test utilities: finite-difference gradients, tiny fixtures, the
 loss oracles (cosine matrix, two-log PPL, PLL), the network's explicit-feature
 route and the helpers that only tests call (log_softmax, zero gradients,
-random theory cases, recorded file reads)."""
+random theory cases, recorded file reads, traced peaks)."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -84,12 +86,25 @@ class RecordingFile:
         self.asked.append(size)
         return self.fh.readline(size)
 
+    def __getattr__(self, name):  # tell, seek: no bytes asked for
+        return getattr(self.fh, name)
+
 
 def recorded_reads(monkeypatch, module) -> list:
     """The byte counts that the reads of files module opens ask for, from now on."""
     asked = []
     monkeypatch.setattr(module, "open", lambda p, mode: RecordingFile(p, asked), raising=False)
     return asked
+
+
+def traced_peak(call) -> float:
+    """Bytes at the traced peak of call(), above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_spec(seed=0):

@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +22,7 @@ from openmix.data import (
     load_split_spec,
     save_dataset,
 )
-from helpers import recorded_reads, tiny_spec
+from helpers import recorded_reads, tiny_spec, traced_peak
 
 
 def test_split_spec_defaults_validate():
@@ -294,6 +293,63 @@ def test_rows_times_classes_cap(route, tmp_path, monkeypatch):
                 assert parsed.count(b"U") < 513
 
 
+def test_counting_stops_at_the_cap(tmp_path, monkeypatch):
+    # 4097 L rows of a 4096-class side cross the cap in the eighth 513-row chunk, and
+    # 100k U rows follow: each pass reads those eight chunks and no more of the file
+    monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", 4096)
+    c_l = data.MAX_CLASSES
+    path = tmp_path / "tall.csv"
+    rows = "L,7,0.5\n" * (data.MAX_SPLIT_VALUES // c_l + 1) + "U,0,1.0\n" * 100_000
+    path.write_text(f"omx-dataset,v1,1,{c_l},2\n" + rows)
+    asked = recorded_reads(monkeypatch, data)
+    with pytest.raises(DataFormatError, match="rows x classes"):
+        load_dataset(str(path))
+    assert asked.count(4096) == 2 * 8
+
+
+def test_refused_chunk_before_the_cap_crossing_reports_its_fault(tmp_path, monkeypatch):
+    # the counting pass stops at the cap, but the second pass refuses the first chunk,
+    # so the per-line route reports the fault in it, not the cap
+    monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", 4096)
+    c_l = data.MAX_CLASSES
+    path = tmp_path / "tall.csv"
+    rows = "L,7,0.5\n" * (data.MAX_SPLIT_VALUES // c_l + 1)
+    path.write_text(f"omx-dataset,v1,1,{c_l},2\nL,7,0.5\nL,x,0.5\n" + rows + "U,0,1.0\nU,1,2.0\n")
+    with pytest.raises(DataFormatError, match="line 3: bad class index 'x'"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["fewer-rows", "more-rows"])
+def test_rows_the_count_did_not_see_send_the_file_per_line(extra, tmp_path, monkeypatch):
+    # as if the file changed between the two passes: the C reader finds one L row fewer
+    # or more than were counted, and the per-line route reads the file again whole
+    read_c, read_lines, per_line = data._read_c, data._read_lines, []
+
+    def changed_read_c(*args):
+        x_l, y_l, x_u, y_u = read_c(*args)
+        rows = slice(1, None) if extra < 0 else [0, *range(len(y_l))]
+        return x_l[rows], y_l[rows], x_u, y_u
+
+    monkeypatch.setattr(data, "_read_c", changed_read_c)
+    monkeypatch.setattr(data, "_read_lines", lambda *a: per_line.append(1) or read_lines(*a))
+    ds = generate_blobs(tiny_spec(seed=6))
+    path = str(tmp_path / "ds.csv")
+    save_dataset(path, ds)
+    assert load_dataset(path) == ds and per_line == [1]
+
+
+def test_rows_too_short_for_their_fields_are_never_allocated(tmp_path):
+    # 20k lines "L" under a 4096-wide header: counted as rows, they would ask for
+    # 655 MB of features, but the file's 40 KB cannot hold one valid row, so the
+    # counting pass refuses it and the per-line route reports the first line
+    path = tmp_path / "wide.csv"
+    path.write_text(f"omx-dataset,v1,{data.MAX_WIDTH},1,2\n" + "L\n" * 20_000)
+    peak = traced_peak(lambda: pytest.raises(DataFormatError, load_dataset, str(path)))
+    assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
+    with pytest.raises(DataFormatError, match=f"line 2: expected {data.MAX_WIDTH + 2} fields"):
+        load_dataset(str(path))
+
+
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 97, 4096], ids=["default", "1", "97", "4096"])
 def test_blank_lines_and_no_final_newline_at_every_chunk_size(chunk_bytes, tmp_path, monkeypatch):
     # a writer file with blank lines between and around its rows, cut before its last
@@ -339,16 +395,6 @@ def test_save_dataset_bytes_frozen(tmp_path):
     assert digest == "7c684a676e1d646289dd734a8e49adab1e1bea28063beff8183d6ce4775cf62e"
 
 
-def traced_peak(call) -> float:
-    """Bytes at the traced peak of call(), above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_dataset_peak_memory(tmp_path):
     # a 10k-row, 3.2 MB file: one 2048-row chunk holds its floats as Python
     # objects (about 1 MB), then its text and its bytes (0.7 MB each), about
@@ -360,10 +406,11 @@ def test_save_dataset_peak_memory(tmp_path):
 
 
 def test_load_dataset_peak_memory(tmp_path, monkeypatch):
-    # the C route on that file, four chunks: one 1 MiB chunk's bytes and parsed rows
-    # (0.5 MB), and the split arrays (1.4 MB) held once in parts and once joined,
-    # traced at 3.5 MB. A loader that held the file's bytes and all its parsed rows
-    # peaked at 6.3 MB; one that also held a decoded text copy, at 9.5 MB.
+    # the C route on that file, four chunks: the split arrays (1.4 MB), allocated once
+    # after the counting pass, beside one 1 MiB chunk's bytes and its parsed rows
+    # (0.5 MB), traced at 3.5 MB. A loader that held the split arrays once in parts and
+    # once joined also peaked at 3.5 MB; one that held the file's bytes and all its
+    # parsed rows, at 6.3 MB; one that also held a decoded text copy, at 9.5 MB.
     path = str(tmp_path / "ds.csv")
     save_dataset(path, generate_blobs(SplitSpec(per_class=1000)))
     monkeypatch.setattr(data, "_read_lines", None)  # the C route only
@@ -372,13 +419,34 @@ def test_load_dataset_peak_memory(tmp_path, monkeypatch):
 
 
 def test_load_dataset_peak_below_file_size(tmp_path, monkeypatch):
-    # a 20k-row, 6.3 MB file of six chunks: the split arrays twice (5.5 MB) set the
-    # peak, below the file's own size; a whole-file loader held about twice it
+    # a 20k-row, 6.3 MB file of six chunks: the split arrays (2.7 MB) and one chunk
+    # peak at 4.8 MB, below the file's own size; the split arrays held twice, in parts
+    # and joined, peaked at 5.5 MB, and a whole-file loader held about twice the file
     path = str(tmp_path / "ds.csv")
     save_dataset(path, generate_blobs(SplitSpec(per_class=2000)))
     monkeypatch.setattr(data, "_read_lines", None)  # the C route only
     peak = traced_peak(lambda: load_dataset(path))
     assert peak < os.path.getsize(path), f"peak {peak / 1e6:.1f} MB"
+
+
+def test_load_dataset_peak_over_split_arrays(tmp_path, monkeypatch):
+    # the 50k-row, 15.8 MB file: the split arrays (6.8 MB) are allocated once and
+    # filled chunk by chunk, traced at 8.9 MB; held in parts and then joined, 13.6 MB
+    spec, path = SplitSpec(per_class=5000), str(tmp_path / "ds.csv")
+    save_dataset(path, generate_blobs(spec))
+    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
+    peak = traced_peak(lambda: load_dataset(path))
+    split = (spec.c_l + spec.c_u) * spec.per_class * (spec.input_dim + 1) * 8  # x and y
+    assert peak <= split + 3e6, f"peak {peak / 1e6:.1f} MB over {split / 1e6:.1f} MB"
+
+
+def test_generate_blobs_peak_memory():
+    # each class block is drawn into its rows of one (n, d) array, traced at 1.2 times
+    # the 6.4 MB of features; joining the blocks at the end peaked at 2.2 times
+    spec = SplitSpec(per_class=5000)
+    peak = traced_peak(lambda: generate_blobs(spec))
+    features = (spec.c_l + spec.c_u) * spec.per_class * spec.input_dim * 8
+    assert peak < 1.5 * features, f"peak {peak / features:.2f} times the features"
 
 
 def test_load_split_spec(tmp_path):

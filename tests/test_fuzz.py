@@ -154,6 +154,10 @@ EDGE_LINES = [
     "U,9223372036854775808,1.0,2.0",
     "LU,0,1.0,2.0",
     "UL,0,1.0,2.0",
+    # rows to the C route's counting pass, which the C reader then refuses
+    "L,0,1.0",
+    "L,0.5,1.0,2.0",
+    "U,1e0,1.0,2.0",
     ",0,1.0,2.0",
     "U,1,1E400,2.0",
     "U,1,1.0,-1e400",

@@ -49,6 +49,18 @@ def test_contingency_hand_case():
     assert np.array_equal(table, want)
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (50, 1), (7, 9), (1000, 10), (25_000, 5)])
+def test_contingency_matches_add_at_counts(n, k):
+    # with k = 9 and 7 rows most classes never occur on either side
+    rng = np.random.default_rng(n + k)
+    pred, truth = rng.integers(0, k, size=n), rng.integers(0, k, size=n)
+    want = np.zeros((k, k), dtype=np.int64)
+    np.add.at(want, (pred, truth), 1)
+    table = metrics.contingency(pred, truth, k)
+    assert table.dtype == np.int64 and table.shape == (k, k)
+    assert np.array_equal(table, want)
+
+
 def test_check_pair_rejections():
     with pytest.raises(ValueError):
         metrics.acc(np.array([0, 1]), np.array([0]), num_classes=2)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import mixing_reference
-from openmix import mixing, nn
-from helpers import assert_grad_close, fd_grad
+from openmix import losses, mixing, nn
+from helpers import assert_grad_close, fd_grad, traced_peak
 
 def no_anchors(c_u):
     """The empty anchor set, as select_anchors returns it for c_u new classes."""
@@ -151,6 +151,26 @@ def test_select_anchors_threshold_and_labels():
     assert np.array_equal(anchors.labels, np.array([[1.0, 0, 0], [0, 0, 1.0]]))
     empty = mixing.select_anchors(np.zeros((3, 3)), 0.9)
     assert len(empty) == 0
+
+
+@pytest.mark.parametrize("theta2", [0.55, 0.9, 0.999])
+def test_select_anchors_agrees_with_pseudo_labels_on_the_whole_pool(theta2):
+    # rows picked by their max probability, labeled by pseudo_labels on those rows
+    # alone: the same anchors as pseudo_labels over every row of the pool
+    z = np.random.default_rng(3).normal(size=(2000, 4)) * 3
+    labels, assigned = losses.pseudo_labels(nn.softmax(z), theta2)
+    anchors = mixing.select_anchors(z, theta2)
+    assert 0 < len(anchors) < len(z)
+    assert np.array_equal(anchors.indices, np.flatnonzero(assigned))
+    assert np.array_equal(anchors.labels, labels[assigned])
+
+
+def test_select_anchors_peak_memory():
+    # 25 000 x 5 logits (1 MB): the softmax's shifted logits and exponentials, traced
+    # at 2.2 MB; with a pool-sized mask and float label array beside them, 3.3 MB
+    z = np.random.default_rng(0).normal(size=(25_000, 5)) * 4
+    peak = traced_peak(lambda: mixing.select_anchors(z, 0.9))
+    assert peak < 2.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def mixing_inputs(seed=4, n_lab=10, n_unl=12, c_l=2, c_u=3, dim=4):
