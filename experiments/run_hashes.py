@@ -1,6 +1,6 @@
 """Print the sha256 of checkpoint + metrics bytes for a fixed set of runs,
 then of the `omx analyze --samples 1000000` report at seeds 0 and 1, then
-of what `load_dataset` returns for three dataset files, then of the
+of what `load_dataset` returns for two dataset files, then of the
 pretrained checkpoint of two of the runs.
 
 Each configuration runs omx itself, in this process: it writes a split spec
@@ -10,7 +10,7 @@ fields, its seed, and a temp directory as data_dir and out_dir), then runs
 the bytes of model.omx followed by those of metrics.csv. The "pretrain <case>"
 lines hash the pretrained.omx the same runs wrote.
 
-experiments/run_hashes.txt holds the 21 lines this script prints for the
+experiments/run_hashes.txt holds the 20 lines this script prints for the
 committed code, taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
 (Haswell kernels) on a 2-core Intel Xeon. A change meant to keep runs
 byte-identical shows an empty
@@ -23,17 +23,15 @@ change that alters the bytes on purpose (a new anchor rule, say) replaces
 run_hashes.txt in the same commit.
 
 The loaded files are the writer's own at SplitSpec(per_class=5000) and
-seeds 0 and 1, which numpy's C reader parses, and a valid seed-0 file with
-spaces and "_" in its features, which only the per-line route takes. Each
-digest covers the features then the labels of the labeled and unlabeled
-rows.
+seeds 0 and 1. Each digest covers the features then the labels of the
+labeled and unlabeled rows.
 
 A parent commit whose copy of this script lacks a case is checked by
 running this copy with PYTHONPATH pointing at the parent's src/.
 
 BLAS threading is pinned to one thread before numpy loads, because a
 multi-threaded BLAS may sum in a different order from run to run. All 14
-runs, both reports and the three loads take about 15 s on a shared 2-core
+runs, both reports and the two loads take about 15 s on a shared 2-core
 Xeon, more under load.
 """
 
@@ -46,7 +44,6 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
-import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -83,7 +80,6 @@ CONFIGS = {
 ANALYZE_SEEDS = (0, 1)
 LOAD_SEEDS = (0, 1)
 PRETRAIN_CASES = ("full seed 0", "short hidden_dims=[32]")
-DIGIT_PAIR = re.compile(r"(\d)(\d)")
 
 
 def omx(*argv: str) -> str:
@@ -140,19 +136,6 @@ def load_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def spaced_copy(src: str, dst: str) -> None:
-    """Rewrite a dataset file with " " around each feature and "_" between two of its digits."""
-    with open(src, encoding="utf-8") as fh:
-        head, *rows = fh.read().splitlines()
-    out = [head]
-    for row in rows:
-        kind, label, *feats = row.split(",")
-        feats = (DIGIT_PAIR.sub(r"\1_\2", tok, count=1) for tok in feats)
-        out.append(",".join([kind, label, *(f" {tok} " for tok in feats)]))
-    with open(dst, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
-
-
 def main() -> int:
     pretrains = {}
     with tempfile.TemporaryDirectory(prefix="run-hashes-") as workdir:
@@ -162,14 +145,10 @@ def main() -> int:
     for seed in ANALYZE_SEEDS:
         print(f"{analyze_digest(seed)}  analyze --samples 1000000 --seed {seed}", flush=True)
     with tempfile.TemporaryDirectory(prefix="run-hashes-") as workdir:
-        path = os.path.join(workdir, "dataset.csv")
+        path = os.path.join(workdir, cli.DATASET_FILE)
         for seed in LOAD_SEEDS:
             data.save_dataset(path, data.generate_blobs(data.SplitSpec(per_class=5000, seed=seed)))
             print(f"{load_digest(path)}  load per_class=5000 seed {seed}", flush=True)
-        data.save_dataset(path, data.generate_blobs(data.SplitSpec(seed=0)))
-        spaced = path + ".spaced"
-        spaced_copy(path, spaced)
-        print(f"{load_digest(spaced)}  load seed 0 with spaces and underscores", flush=True)
     for name in PRETRAIN_CASES:
         print(f"{pretrains[name]}  pretrain {name}", flush=True)
     return 0

@@ -21,7 +21,7 @@ from .data import (
     save_dataset,
 )
 
-DATASET_FILE = "dataset.csv"
+DATASET_FILE = "dataset.bin"
 PRETRAIN_FILE = "pretrained.omx"
 MODEL_FILE = "model.omx"
 METRICS_FILE = "metrics.csv"
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("eval", help="print ACC and NMI of a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True, help="directory holding dataset.csv")
+    p.add_argument("--data", required=True, help="directory holding dataset.bin")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("analyze", help="mixing label-reliability report")

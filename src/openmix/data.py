@@ -7,11 +7,8 @@ evaluation-only registry so training code cannot touch it.
 
 from __future__ import annotations
 
-import contextlib
-import io
-import math
-import re
-from array import array
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +123,8 @@ class Dataset:
 # and its float copy take 256 MB at the cap, a one-hot label 32 KB a row.
 MAX_CLASSES = 2**12
 
-# Feature values a generated split may hold, and rows x classes on each side
-# of a loaded file (its one-hot labels and logits): 128 MB as float64, 8 times
+# Feature values a generated or loaded split may hold, and rows x classes on each
+# side of a loaded file (its one-hot labels and logits): 128 MB as float64, 8 times
 # the paper-shaped split (c_l=80, c_u=20, input_dim=100, per_class=200). As
 # input_dim >= c_l + c_u, a generated split keeps within both and MAX_CLASSES.
 MAX_SPLIT_VALUES = 2**24
@@ -201,193 +198,60 @@ def generate_blobs(spec: SplitSpec) -> Dataset:
     return Dataset(labeled, unlabeled, truth)
 
 
-# Rows per encoded chunk of save_dataset: at input_dim 16 a chunk is about
-# 0.7 MB of text, and the write peaks about 2.6 MB above the dataset at any
-# row count.
-SAVE_CHUNK_ROWS = 2048
+MAGIC = b"OMXD"
+# the magic bytes, then input_dim, C_l, C_u, n_l, n_u
+HEADER = struct.Struct("<4s5I")
 
 
 def save_dataset(path: str, ds: Dataset) -> None:
-    """Write header `omx-dataset,v1,input_dim,C_l,C_u` then one row per example.
-
-    Features are written as the repr of a Python float, the shortest string
-    that round-trips exactly. The rows are encoded and written SAVE_CHUNK_ROWS
-    at a time, so beside the dataset only one chunk's text and bytes are held.
-    """
+    """Write MAGIC and the u32 header, then x_l and x_u as little-endian float64, then y_l
+    and the hidden y_u as little-endian int64, each straight from its array's memory."""
     hidden = ds.truth._labels  # same-module persistence path, not an eval read
-
-    def chunks():
-        yield f"omx-dataset,v1,{ds.input_dim},{ds.c_l},{ds.c_u}\n".encode()
-        for kind, ys, x in (("L", ds.labeled.y, ds.labeled.x), ("U", hidden, ds.unlabeled.x)):
-            for start in range(0, len(ys), SAVE_CHUNK_ROWS):
-                rows = slice(start, start + SAVE_CHUNK_ROWS)
-                yield "".join(
-                    f"{kind},{y},{','.join(map(repr, row))}\n"
-                    for y, row in zip(ys[rows].tolist(), x[rows].tolist())
-                ).encode()
-
-    write_atomic(path, chunks())
-
-
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise DataFormatError(f"line {lineno}: bad {what} {token!r}") from None
-
-
-# The bytes of the writer's data lines, the only ones numpy's C reader gets: it
-# and float() or int() disagree on whitespace, "_" and non-ASCII digits.
-WRITER_ALPHABET = b"0123456789.,eE+-LU\n"
-
-
-def _check_line(row: list[str], lineno: int, input_dim: int, c_l: int, c_u: int):
-    """Parse one data line into (is_l, label, features), raising at its first failed check:
-    field count, class index, feature values, finiteness, then kind and class range."""
-    if len(row) != 2 + input_dim:
-        raise DataFormatError(f"line {lineno}: expected {2 + input_dim} fields, got {len(row)}")
-    label = _parse_int(row[1], lineno, "class index")
-    try:
-        feats = list(map(float, row[2:]))
-    except ValueError:
-        raise DataFormatError(f"line {lineno}: bad feature value") from None
-    if not all(map(math.isfinite, feats)):
-        raise DataFormatError(f"line {lineno}: non-finite feature value")
-    kind = row[0]
-    if kind not in ("L", "U"):
-        raise DataFormatError(f"line {lineno}: row kind must be L or U, got {kind!r}")
-    # labels are stored as int64, so a class index beyond it is out of range
-    # even where the header's class count is larger still
-    if not 0 <= label < 2**63 or label >= (c_l if kind == "L" else c_u):
-        side = "labeled" if kind == "L" else "hidden"
-        raise DataFormatError(f"line {lineno}: {side} class {label} out of range")
-    return kind == "L", label, feats
-
-
-def _read_lines(lines: list[str], input_dim: int, c_l: int, c_u: int):
-    """The exact route: (x_l, y_l, x_u, y_u) from one data line at a time, or the first fault."""
-    x, labels, is_l = array("d"), [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line:
-            row_is_l, label, feats = _check_line(line.split(","), lineno, input_dim, c_l, c_u)
-            x.extend(feats)
-            labels.append(label)
-            is_l.append(row_is_l)
-    x = np.frombuffer(x).reshape(-1, input_dim)
-    labels, is_l = np.array(labels, np.int64), np.array(is_l, bool)
-    return x[is_l], labels[is_l], x[~is_l], labels[~is_l]
-
-
-def _read_c(chunk: bytes, input_dim: int, c_l: int, c_u: int):
-    """The fast route: numpy's C reader parses a chunk of the writer's bytes at once.
-    (x_l, y_l, x_u, y_u), empty for a chunk of no rows, or None where the chunk holds
-    a byte outside WRITER_ALPHABET, or the reader or a check fails."""
-    if chunk.translate(None, WRITER_ALPHABET):
-        return None
-    dtype = [("kind", "U2"), ("label", "i8"), ("x", "f8", (input_dim,))]
-    # int() reads the class indices, so its digit limit holds on both routes
-    read = dict(delimiter=",", comments=None, converters={1: int}, ndmin=1)
-    has_rows = chunk.count(b"\n") < len(chunk)  # loadtxt warns on blank lines only
-    try:
-        rows = np.loadtxt(io.BytesIO(chunk), dtype, **read) if has_rows else np.empty(0, dtype)
-    except ValueError:
-        return None
-    x, labels, is_l = rows["x"], rows["label"], rows["kind"] == "L"
-    ok = (is_l | (rows["kind"] == "U")) & (labels >= 0) & (labels < np.where(is_l, c_l, c_u))
-    if not (ok.all() and np.isfinite(x).all()):
-        return None
-    return x[is_l], labels[is_l], x[~is_l], labels[~is_l]
-
-
-def _check_rows(n_l: int, n_u: int, c_l: int, c_u: int) -> None:
-    if max(n_l * c_l, n_u * c_u) > MAX_SPLIT_VALUES:
-        raise DataFormatError(f"rows x classes must be <= {MAX_SPLIT_VALUES} on each side")
-
-
-# Bytes the C route reads at a time, then on to the end of that line: about 3300 rows at
-# input_dim 16, whose parsed table takes about 0.5 MB. At 256 KiB a load took 10% longer.
-LOAD_CHUNK_BYTES = 2**20
-
-
-def _read_chunks(fh, input_dim: int, c_l: int, c_u: int):
-    """The C route over the rest of fh, one line-aligned chunk at a time: (x_l, y_l, x_u, y_u),
-    or None where _read_c refuses a chunk. A first pass counts each side's kind bytes, up to
-    the rows x classes cap, then a second fills the split arrays allocated at those counts. Its
-    first chunk past the cap raises, and no more is read. Rows not as counted give None."""
-    body, n_l, n_u = fh.tell(), 0, 0
-    while max(n_l * c_l, n_u * c_u) <= MAX_SPLIT_VALUES and (chunk := fh.read(LOAD_CHUNK_BYTES)):
-        chunk += fh.readline()
-        # a row that _read_c takes holds one L or U byte: its kind
-        n_l += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("L"))
-        n_u += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("U"))
-        if (n_l + n_u) * (2 * input_dim + 3) > fh.tell() - body:
-            return None  # a row's 2 + input_dim fields are nonempty: 2 * input_dim + 3 bytes
-    fh.seek(body)
-    x_l, y_l = np.empty((n_l, input_dim)), np.empty(n_l, np.int64)
-    x_u, y_u = np.empty((n_u, input_dim)), np.empty(n_u, np.int64)
-    i_l = i_u = 0
-    while chunk := fh.read(LOAD_CHUNK_BYTES):
-        chunk += fh.readline()
-        if (part := _read_c(chunk, input_dim, c_l, c_u)) is None:
-            return None
-        j_l, j_u = i_l + len(part[1]), i_u + len(part[3])
-        _check_rows(j_l, j_u, c_l, c_u)
-        if j_l > n_l or j_u > n_u:
-            return None
-        x_l[i_l:j_l], y_l[i_l:j_l], x_u[i_u:j_u], y_u[i_u:j_u] = part
-        i_l, i_u = j_l, j_u
-        del part  # not held while the next chunk is read
-    return (x_l, y_l, x_u, y_u) if (i_l, i_u) == (n_l, n_u) else None
-
-
-# The C route takes only the writer's header, and reads at most its longest form within the caps
-WRITER_HEADER = re.compile(rb"omx-dataset,v1,([1-9][0-9]*),([1-9][0-9]*),([1-9][0-9]*)\n")
-HEADER_BYTES = len(f"omx-dataset,v1,{MAX_WIDTH},{MAX_CLASSES},{MAX_CLASSES}\n")
-
-
-def _parse_header(first: list[str]) -> tuple[int, int, int]:
-    """(input_dim, C_l, C_u) from the file's first line, [] where it has none."""
-    if not first:
-        raise DataFormatError("line 1: missing header")
-    fields = first[0].split(",")
-    if len(fields) != 5 or fields[0] != "omx-dataset" or fields[1] != "v1":
-        raise DataFormatError(f"line 1: bad header {first[0]!r}")
-    input_dim = _parse_int(fields[2], 1, "input_dim")
-    c_l = _parse_int(fields[3], 1, "C_l")
-    c_u = _parse_int(fields[4], 1, "C_u")
-    if input_dim < 1 or c_l < 1 or c_u < 1:
-        raise DataFormatError("line 1: header counts must be >= 1")
-    return input_dim, c_l, c_u
+    head = HEADER.pack(MAGIC, ds.input_dim, ds.c_l, ds.c_u, len(ds.labeled), len(ds.unlabeled))
+    arrays = [np.ascontiguousarray(x, "<f8") for x in (ds.labeled.x, ds.unlabeled.x)]
+    arrays += [np.ascontiguousarray(y, "<i8") for y in (ds.labeled.y, hidden)]
+    write_atomic(path, [head, *(a.data.cast("B") for a in arrays)])
 
 
 def load_dataset(path: str) -> Dataset:
     """The dataset in path, as save_dataset wrote it.
 
-    Behind the writer's header, one pass counts each side's rows, then numpy's C reader
-    parses the file LOAD_CHUNK_BYTES at a time into split arrays allocated once. It only
-    accelerates: the first chunk it refuses sends the file to the per-line route, which
-    reads it again as one text and decides every fault.
+    The header is checked against the caps, and the file's size against the header, before
+    the four arrays are allocated; each is then filled by one readinto.
     """
-    parsed = None
-    # an unreadable file fails on the per-line route, with read_text's typed error
-    with contextlib.suppress(OSError), open(path, "rb") as fh:
-        if head := WRITER_HEADER.fullmatch(fh.readline(HEADER_BYTES)):
-            input_dim, c_l, c_u = map(int, head.groups())
-            if input_dim <= MAX_WIDTH and max(c_l, c_u) <= MAX_CLASSES:
-                parsed = _read_chunks(fh, input_dim, c_l, c_u)
-    if parsed is None:
-        lines = read_text(path, "dataset", DataFormatError).splitlines()
-        input_dim, c_l, c_u = _parse_header(lines[:1])
-        parsed = _read_lines(lines, input_dim, c_l, c_u)
-    x_l, y_l, x_u, y_u = parsed
-    n_l, n_u = len(y_l), len(y_u)
-    if not n_l or n_u < 2:
-        raise DataFormatError(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")
-    if max(c_l, c_u) > MAX_CLASSES:
-        raise DataFormatError(f"line 1: class counts must be <= {MAX_CLASSES}, got {c_l} and {c_u}")
-    if input_dim > MAX_WIDTH:
-        raise DataFormatError(f"line 1: input_dim must be <= {MAX_WIDTH}, got {input_dim}")
-    _check_rows(n_l, n_u, c_l, c_u)
+
+    def fail(msg: str) -> DataFormatError:
+        return DataFormatError(f"{path}: {msg}")
+
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER.size)
+        if head[:4] != MAGIC:
+            raise fail("bad magic bytes, not a dataset")
+        if len(head) < HEADER.size:
+            raise fail("truncated header")
+        _, input_dim, c_l, c_u, n_l, n_u = HEADER.unpack(head)
+        if not 1 <= input_dim <= MAX_WIDTH:
+            raise fail(f"input_dim must be in [1, {MAX_WIDTH}], got {input_dim}")
+        if not (1 <= c_l <= MAX_CLASSES and 1 <= c_u <= MAX_CLASSES):
+            raise fail(f"class counts must be in [1, {MAX_CLASSES}], got {c_l} and {c_u}")
+        if not n_l or n_u < 2:
+            raise fail(f"need at least 1 L row and 2 U rows, found {n_l} and {n_u}")
+        if max(n_l * c_l, n_u * c_u) > MAX_SPLIT_VALUES:
+            raise fail(f"rows x classes must be <= {MAX_SPLIT_VALUES} on each side")
+        if (n_l + n_u) * input_dim > MAX_SPLIT_VALUES:
+            raise fail(f"rows x input_dim must be <= {MAX_SPLIT_VALUES}")
+        size = HEADER.size + 8 * (n_l + n_u) * (input_dim + 1)
+        if (found := os.fstat(fh.fileno()).st_size) != size:
+            raise fail(f"expected {size} bytes, found {found}")
+        x_l, x_u = np.empty((n_l, input_dim), "<f8"), np.empty((n_u, input_dim), "<f8")
+        y_l, y_u = np.empty(n_l, "<i8"), np.empty(n_u, "<i8")
+        if any(fh.readinto(a) != a.nbytes for a in (x_l, x_u, y_l, y_u)):
+            raise fail("file ended inside its arrays")
+    if not (np.isfinite(x_l).all() and np.isfinite(x_u).all()):
+        raise fail("non-finite feature value")
+    for side, y, c in (("labeled", y_l, c_l), ("hidden", y_u, c_u)):
+        if y.min() < 0 or y.max() >= c:
+            raise fail(f"{side} class index outside [0, {c})")
     return Dataset(LabeledSet(x_l, y_l, c_l), UnlabeledSet(x_u, c_u), HiddenTruth(y_u))
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradients, tiny fixtures, the
 loss oracles (cosine matrix, two-log PPL, PLL), the network's explicit-feature
 route and the helpers that only tests call (log_softmax, zero gradients,
-random theory cases, recorded file reads, traced peaks)."""
+random theory cases, recorded file reads, hand-built dataset files, traced
+peaks)."""
 
 import tracemalloc
 
@@ -67,7 +68,7 @@ def pll_reference(z, labels, assigned):
 
 
 class RecordingFile:
-    """A binary file that records the byte count each read or readline asks for."""
+    """A binary file that records the byte count each read asks for."""
 
     def __init__(self, path, asked):
         self.fh, self.asked = open(path, "rb"), asked
@@ -82,19 +83,20 @@ class RecordingFile:
         self.asked.append(size)
         return self.fh.read(size)
 
-    def readline(self, size=-1):
-        self.asked.append(size)
-        return self.fh.readline(size)
-
-    def __getattr__(self, name):  # tell, seek: no bytes asked for
-        return getattr(self.fh, name)
-
 
 def recorded_reads(monkeypatch, module) -> list:
     """The byte counts that the reads of files module opens ask for, from now on."""
     asked = []
     monkeypatch.setattr(module, "open", lambda p, mode: RecordingFile(p, asked), raising=False)
     return asked
+
+
+def dataset_bytes(input_dim=2, c_l=2, c_u=3, n_l=1, n_u=2, x=0.5, y_l=0, y_u=0):
+    """A dataset file with these header counts: every feature x, every labeled class
+    y_l and every hidden class y_u, or an array of each."""
+    x = np.broadcast_to(x, (n_l + n_u) * input_dim).astype("<f8")
+    y = np.concatenate([np.broadcast_to(y_l, n_l), np.broadcast_to(y_u, n_u)]).astype("<i8")
+    return data.HEADER.pack(data.MAGIC, input_dim, c_l, c_u, n_l, n_u) + x.tobytes() + y.tobytes()
 
 
 def traced_peak(call) -> float:

@@ -18,6 +18,7 @@ import pytest
 from openmix import cli, theory, train
 from openmix.checkpoint import load_checkpoint, save_checkpoint
 from openmix.data import load_dataset
+from helpers import dataset_bytes
 
 SPEC_TEXT = """\
 c_l = 2
@@ -85,7 +86,7 @@ def pipeline(tmp_path_factory):
 
 
 def test_gen_data_writes_loadable_dataset(pipeline):
-    path = pipeline.root / "data" / "dataset.csv"
+    path = pipeline.root / "data" / "dataset.bin"
     assert path.is_file()
     expected = f"wrote {path}: 16 labeled + 24 unlabeled examples, input_dim 6, 2+3 classes"
     assert pipeline.out_gen.strip() == expected
@@ -396,13 +397,14 @@ def test_eval_new_class_count_mismatch_exits_4(pipeline, tmp_path, capsys):
     assert "C_u" in capsys.readouterr().err
 
 
-def test_non_utf8_dataset_exits_4(tmp_path, capsys):
+def test_text_dataset_exits_4(tmp_path, capsys):
+    # a dataset in the old text format, under the binary file's name
     (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "dataset.csv").write_bytes(b"omx-dataset,v1,6,2,3\nL,0,\xff\xfe\n")
+    dataset = tmp_path / "data" / cli.DATASET_FILE
+    dataset.write_bytes(b"omx-dataset,v1,6,2,3\nL,0,1.0,2.0,3.0,4.0,5.0,6.0\n")
     rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
     assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "UTF-8" in err
+    assert capsys.readouterr().err == f"i/o error: {dataset}: bad magic bytes, not a dataset\n"
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -423,17 +425,16 @@ def test_non_utf8_spec_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "UTF-8" in err
 
 
-def _keep_rows(pipeline, tmp_path, kinds):
-    """A copy of the pipeline dataset holding only rows of the given kinds."""
-    lines = (pipeline.root / "data" / "dataset.csv").read_text(encoding="utf-8").splitlines()
-    kept = [lines[0]] + [line for line in lines[1:] if line[0] in kinds]
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "dataset.csv").write_text("\n".join(kept) + "\n", encoding="utf-8")
-    return tmp_path / "data"
+def write_dataset(tmp_path, **fields):
+    """tmp_path/data holding helpers.dataset_bytes(**fields) as its dataset file."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / cli.DATASET_FILE).write_bytes(dataset_bytes(**fields))
+    return data_dir
 
 
-def test_no_labeled_rows_exits_4(pipeline, tmp_path, capsys):
-    _keep_rows(pipeline, tmp_path, "U")
+def test_no_labeled_rows_exits_4(tmp_path, capsys):
+    write_dataset(tmp_path, input_dim=6, n_l=0, n_u=24, y_u=[0, 1, 2] * 8)
     rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
     assert rc == 4
     err = capsys.readouterr().err
@@ -441,7 +442,7 @@ def test_no_labeled_rows_exits_4(pipeline, tmp_path, capsys):
 
 
 def test_header_only_dataset_exits_4(pipeline, tmp_path, capsys):
-    data_dir = _keep_rows(pipeline, tmp_path, "")
+    data_dir = write_dataset(tmp_path, input_dim=6, n_l=0, n_u=0)
     model = str(pipeline.root / "out" / "model.omx")
     rc = cli.main(["eval", "--checkpoint", model, "--data", str(data_dir)])
     assert rc == 4
@@ -449,48 +450,31 @@ def test_header_only_dataset_exits_4(pipeline, tmp_path, capsys):
     assert err.startswith("i/o error:") and "found 0 and 0" in err
 
 
-def test_class_index_beyond_int64_exits_4(tmp_path, capsys):
-    # the header's class count and the index are both beyond int64
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    (data_dir / "dataset.csv").write_text(
-        "omx-dataset,v1,2,99999999999999999999,3\nL,99999999999999999998,1.0,2.0\n",
-        encoding="utf-8",
-    )
+def test_class_index_out_of_range_exits_4(tmp_path, capsys):
+    # the largest int64 as a labeled class of a 2-class side
+    write_dataset(tmp_path, y_l=2**63 - 1)
     rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
     assert rc == 4
     err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "labeled class 99999999999999999998 out of range" in err
+    assert err.startswith("i/o error:") and "labeled class index outside [0, 2)" in err
 
 
 def test_huge_class_count_exits_4(tmp_path, capsys):
     # every row is valid; the header's class count alone is beyond the cap
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    (data_dir / "dataset.csv").write_text(
-        "omx-dataset,v1,2,1000000000000,3\nL,0,1.0,2.0\nU,0,1.0,2.0\nU,2,3.0,4.0\n",
-        encoding="utf-8",
-    )
+    write_dataset(tmp_path, c_l=2**32 - 1)
     rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
     assert rc == 4
     err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "class counts must be <= 4096" in err
+    assert err.startswith("i/o error:") and "class counts must be in [1, 4096]" in err
 
 
 def test_wide_dataset_exits_4(tmp_path, capsys):
     # every row is valid; the header's input_dim alone is beyond the cap
-    width = 4097
-    row = ",".join(["1.0"] * width)
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    (data_dir / "dataset.csv").write_text(
-        f"omx-dataset,v1,{width},1,2\nL,0,{row}\nU,0,{row}\nU,1,{row}\n",
-        encoding="utf-8",
-    )
+    write_dataset(tmp_path, input_dim=4097)
     rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
     assert rc == 4
     err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "input_dim must be <= 4096" in err
+    assert err.startswith("i/o error:") and "input_dim must be in [1, 4096], got 4097" in err
 
 
 def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
@@ -556,8 +540,8 @@ def test_endless_config_exits_2(argv, what, tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
 def test_endless_dataset_exits_4(pipeline, tmp_path):
-    # the per-line route reads the whole file; with no byte cap on a dataset,
-    # only an address-space limit stops it, and that must give a typed error
+    # an endless stream under the dataset's name fails at its first bytes, well
+    # inside an address-space limit
     resource = pytest.importorskip("resource")
     limit = 2**30
     dataset = tmp_path / cli.DATASET_FILE
@@ -578,7 +562,7 @@ def test_endless_dataset_exits_4(pipeline, tmp_path):
         preexec_fn=cap_address_space,
     )
     assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == f"i/o error: dataset {dataset} does not fit in memory\n"
+    assert proc.stderr == f"i/o error: {dataset}: bad magic bytes, not a dataset\n"
 
 
 def test_eval_overflowing_logits_exit_3(pipeline, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Dataset generation, persistence, the truth firewall, and batching."""
 
-import hashlib
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from openmix.data import (
     load_split_spec,
     save_dataset,
 )
-from helpers import recorded_reads, tiny_spec, traced_peak
+from helpers import dataset_bytes, tiny_spec, traced_peak
 
 
 def test_split_spec_defaults_validate():
@@ -161,283 +161,166 @@ def test_dataset_cross_checks():
 
 def test_save_load_roundtrip_identity(tmp_path):
     ds = generate_blobs(tiny_spec(seed=4))
-    path = tmp_path / "ds.csv"
+    path = tmp_path / "ds.bin"
     reads_before = ds.truth.reads
     save_dataset(str(path), ds)
     assert ds.truth.reads == reads_before  # persistence is not an eval read
     back = load_dataset(str(path))
-    assert back == ds  # float64 repr round-trips bitwise
+    assert back == ds
+
+
+def file_arrays(ds):
+    """The four arrays of a dataset file, in file order; the hidden labels read uncounted."""
+    return ds.labeled.x, ds.unlabeled.x, ds.labeled.y, ds.truth._labels
+
+
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [SplitSpec(seed=0), SplitSpec(seed=1), SplitSpec(seed=2), SplitSpec(per_class=5000)],
-    ids=["seed0", "seed1", "seed2", "per_class5000"],
+    "spec", [SplitSpec(per_class=1, c_u=2), SplitSpec(per_class=5000)], ids=["tiny", "50k-rows"]
 )
-def test_writer_made_file_never_falls_back(spec, tmp_path, monkeypatch):
-    def no_fallback(*args):
-        raise AssertionError("a writer-made file reached the per-line route")
-
-    monkeypatch.setattr(data, "_read_lines", no_fallback)
-    path = str(tmp_path / "ds.csv")
-    save_dataset(path, generate_blobs(spec))
-    assert load_dataset(path) == generate_blobs(spec)
-
-
-@pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-lines"])
-def test_empty_body_fails_without_warning(body, tmp_path, monkeypatch):
-    # a body of no rows stays on the C route: the file is read once
-    monkeypatch.setattr(data, "_read_lines", None)
-    path = tmp_path / "ds.csv"
-    path.write_text("omx-dataset,v1,2,1,2\n" + body)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DataFormatError, match="need at least 1 L row and 2 U rows, found 0"):
-            load_dataset(str(path))
-
-
-def test_load_dataset_header_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("nonsense,v1,4,1,2\n")
-    with pytest.raises(DataFormatError, match="line 1"):
-        load_dataset(str(path))
-    path.write_text("")
-    with pytest.raises(DataFormatError, match="line 1"):
-        load_dataset(str(path))
-    path.write_text("omx-dataset,v2,4,1,2\n")
-    with pytest.raises(DataFormatError, match="line 1"):
-        load_dataset(str(path))
-
-
-def test_long_first_line_read_only_to_the_header_bound(tmp_path, monkeypatch):
-    # a 1 MiB first line with no "\n": the C route reads no more of it than the longest
-    # header within the caps before the per-line route takes the file
-    path = tmp_path / "ds.csv"
-    path.write_bytes(b"omx-dataset,v1," + b"9" * 2**20)
-    asked = recorded_reads(monkeypatch, data)
-    with pytest.raises(DataFormatError, match="line 1: bad header"):
-        load_dataset(str(path))
-    assert asked and min(asked) >= 0 and sum(asked) <= 32
-
-
-def test_load_dataset_row_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    head = "omx-dataset,v1,2,1,2\n"
-
-    path.write_text(head + "L,0,1.0\n")
-    with pytest.raises(DataFormatError, match="line 2: expected 4 fields"):
-        load_dataset(str(path))
-
-    path.write_text(head + "L,0,1.0,2.0\nX,0,1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="line 3: row kind"):
-        load_dataset(str(path))
-
-    path.write_text(head + "L,1,1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="line 2: labeled class 1"):
-        load_dataset(str(path))
-
-    path.write_text(head + "U,2,1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="line 2: hidden class 2"):
-        load_dataset(str(path))
-
-    path.write_text(head + "U,0,1.0,nan\n")
-    with pytest.raises(DataFormatError, match="line 2: non-finite"):
-        load_dataset(str(path))
-
-    path.write_text(head + "U,zero,1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="line 2: bad class index"):
-        load_dataset(str(path))
-
-    path.write_text(head + "U,0,1.0,abc\n")
-    with pytest.raises(DataFormatError, match="line 2: bad feature value"):
-        load_dataset(str(path))
-
-    # header class counts beyond int64: an index below them still cannot be stored
-    huge = "omx-dataset,v1,2,99999999999999999999,99999999999999999999\n"
-    path.write_text(huge + "U,0,1.0,2.0\nL,99999999999999999998,1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="line 3: labeled class 99999999999999999998"):
-        load_dataset(str(path))
-    path.write_text(huge + "L,0,1.0,2.0\nU,9223372036854775808,1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="line 3: hidden class 9223372036854775808"):
-        load_dataset(str(path))
-
-
-@pytest.mark.parametrize("route", ["c-reader", "per-line"])
-def test_rows_times_classes_cap(route, tmp_path, monkeypatch):
-    # a 4096-class one-hot takes 32 KB a row: 4096 rows reach the cap, one more is beyond it
-    read_c, chunks = data._read_c, []
-
-    def counted_read_c(chunk, *args):
-        chunks.append(chunk)
-        return read_c(chunk, *args)
-
-    # 8-byte rows, 513 to a chunk on the C route, then 4096 U rows after the L rows
-    monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", 4096)
-    monkeypatch.setattr(data, "_read_c", counted_read_c if route == "c-reader" else lambda *a: None)
-    c_l = data.MAX_CLASSES
-    path = tmp_path / "tall.csv"
-    tail = "U,0,1.0\nU,1,2.0\n" * 2048
-    for n_l in (data.MAX_SPLIT_VALUES // c_l, data.MAX_SPLIT_VALUES // c_l + 1):
-        chunks.clear()
-        path.write_text(f"omx-dataset,v1,1,{c_l},2\n" + "L,7,0.5\n" * n_l + tail)
-        if n_l * c_l <= data.MAX_SPLIT_VALUES:
-            ds = load_dataset(str(path))
-            assert len(ds.labeled) == n_l and ds.c_l == c_l
-        else:
-            with pytest.raises(DataFormatError, match=f"rows x classes must be <= {2**24}"):
-                load_dataset(str(path))
-            if route == "c-reader":
-                # the C route stops at the chunk that holds the row past the cap
-                parsed = b"".join(chunks)
-                assert b"".join(chunks[:-1]).count(b"L") < n_l == parsed.count(b"L")
-                assert parsed.count(b"U") < 513
-
-
-def test_counting_stops_at_the_cap(tmp_path, monkeypatch):
-    # 4097 L rows of a 4096-class side cross the cap in the eighth 513-row chunk, and
-    # 100k U rows follow: each pass reads those eight chunks and no more of the file
-    monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", 4096)
-    c_l = data.MAX_CLASSES
-    path = tmp_path / "tall.csv"
-    rows = "L,7,0.5\n" * (data.MAX_SPLIT_VALUES // c_l + 1) + "U,0,1.0\n" * 100_000
-    path.write_text(f"omx-dataset,v1,1,{c_l},2\n" + rows)
-    asked = recorded_reads(monkeypatch, data)
-    with pytest.raises(DataFormatError, match="rows x classes"):
-        load_dataset(str(path))
-    assert asked.count(4096) == 2 * 8
-
-
-def test_refused_chunk_before_the_cap_crossing_reports_its_fault(tmp_path, monkeypatch):
-    # the counting pass stops at the cap, but the second pass refuses the first chunk,
-    # so the per-line route reports the fault in it, not the cap
-    monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", 4096)
-    c_l = data.MAX_CLASSES
-    path = tmp_path / "tall.csv"
-    rows = "L,7,0.5\n" * (data.MAX_SPLIT_VALUES // c_l + 1)
-    path.write_text(f"omx-dataset,v1,1,{c_l},2\nL,7,0.5\nL,x,0.5\n" + rows + "U,0,1.0\nU,1,2.0\n")
-    with pytest.raises(DataFormatError, match="line 3: bad class index 'x'"):
-        load_dataset(str(path))
-
-
-@pytest.mark.parametrize("extra", [-1, 1], ids=["fewer-rows", "more-rows"])
-def test_rows_the_count_did_not_see_send_the_file_per_line(extra, tmp_path, monkeypatch):
-    # as if the file changed between the two passes: the C reader finds one L row fewer
-    # or more than were counted, and the per-line route reads the file again whole
-    read_c, read_lines, per_line = data._read_c, data._read_lines, []
-
-    def changed_read_c(*args):
-        x_l, y_l, x_u, y_u = read_c(*args)
-        rows = slice(1, None) if extra < 0 else [0, *range(len(y_l))]
-        return x_l[rows], y_l[rows], x_u, y_u
-
-    monkeypatch.setattr(data, "_read_c", changed_read_c)
-    monkeypatch.setattr(data, "_read_lines", lambda *a: per_line.append(1) or read_lines(*a))
-    ds = generate_blobs(tiny_spec(seed=6))
-    path = str(tmp_path / "ds.csv")
-    save_dataset(path, ds)
-    assert load_dataset(path) == ds and per_line == [1]
-
-
-def test_rows_too_short_for_their_fields_are_never_allocated(tmp_path):
-    # 20k lines "L" under a 4096-wide header: counted as rows, they would ask for
-    # 655 MB of features, but the file's 40 KB cannot hold one valid row, so the
-    # counting pass refuses it and the per-line route reports the first line
-    path = tmp_path / "wide.csv"
-    path.write_text(f"omx-dataset,v1,{data.MAX_WIDTH},1,2\n" + "L\n" * 20_000)
-    peak = traced_peak(lambda: pytest.raises(DataFormatError, load_dataset, str(path)))
-    assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
-    with pytest.raises(DataFormatError, match=f"line 2: expected {data.MAX_WIDTH + 2} fields"):
-        load_dataset(str(path))
-
-
-@pytest.mark.parametrize("chunk_bytes", [None, 1, 97, 4096], ids=["default", "1", "97", "4096"])
-def test_blank_lines_and_no_final_newline_at_every_chunk_size(chunk_bytes, tmp_path, monkeypatch):
-    # a writer file with blank lines between and around its rows, cut before its last
-    # newline: chunks of only blank lines, and a last chunk with no line end
-    if chunk_bytes is not None:
-        monkeypatch.setattr(data, "LOAD_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
-    ds = generate_blobs(tiny_spec(seed=5))
-    path = tmp_path / "ds.csv"
+def test_roundtrip_is_bit_exact(spec, tmp_path):
+    # the file is the header, then the arrays' own bytes; a signed zero, a subnormal and
+    # the largest floats come back bit for bit, which == alone would not show for -0.0
+    ds = generate_blobs(spec)
+    ds.labeled.x[0, :4] = EXTREMES
+    ds.unlabeled.x[-1, -4:] = EXTREMES
+    path = tmp_path / "ds.bin"
     save_dataset(str(path), ds)
-    head, *rows = path.read_bytes().splitlines()
-    path.write_bytes(head + b"\n\n" + b"\n\n\n".join(rows))
-    assert load_dataset(str(path)) == ds
-
-
-def test_save_dataset_exact_text(tmp_path):
-    ds = Dataset(
-        LabeledSet(np.array([[-0.0, 1e-05, 0.0001]]), np.array([1]), 2),
-        UnlabeledSet(
-            np.array([[1e16, 5e-324, 1.7976931348623157e308], [0.30000000000000004, 1.0, -2.5]]),
-            2,
-        ),
-        HiddenTruth(np.array([0, 1])),
-    )
-    path = tmp_path / "ds.csv"
-    save_dataset(str(path), ds)
-    assert path.read_bytes() == (
-        b"omx-dataset,v1,3,2,2\n"
-        b"L,1,-0.0,1e-05,0.0001\n"
-        b"U,0,1e+16,5e-324,1.7976931348623157e+308\n"
-        b"U,1,0.30000000000000004,1.0,-2.5\n"
-    )
+    counts = (ds.input_dim, ds.c_l, ds.c_u, len(ds.labeled), len(ds.unlabeled))
+    body = b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes() for a in file_arrays(ds))
+    assert path.read_bytes() == data.HEADER.pack(data.MAGIC, *counts) + body
     back = load_dataset(str(path))
     assert back == ds
+    assert [a.tobytes() for a in file_arrays(back)] == [a.tobytes() for a in file_arrays(ds)]
     assert np.signbit(back.labeled.x[0, 0])
 
 
-def test_save_dataset_bytes_frozen(tmp_path):
-    # sha256 of the 50k-row file written before the array-at-a-time writer
-    path = tmp_path / "ds.csv"
-    save_dataset(str(path), generate_blobs(SplitSpec(per_class=5000, seed=0)))
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "7c684a676e1d646289dd734a8e49adab1e1bea28063beff8183d6ce4775cf62e"
+def load_error(path) -> str:
+    """The message of the DataFormatError that loading path raises, after its path."""
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    return message[len(f"{path}: ") :]
+
+
+def test_load_dataset_header_errors(tmp_path):
+    path, width, k = tmp_path / "bad.bin", data.MAX_WIDTH, data.MAX_CLASSES
+    text = b"omx-dataset,v1,2,1,2\nL,0,1.0,2.0\nU,0,1.0,2.0\nU,1,1.0,2.0\n"
+    cases = [
+        (b"", "bad magic bytes, not a dataset"),
+        (text, "bad magic bytes, not a dataset"),  # the old text format
+        (b"OMXE" + dataset_bytes()[4:], "bad magic bytes, not a dataset"),
+        (dataset_bytes()[: data.HEADER.size - 1], "truncated header"),
+        (dataset_bytes(input_dim=0), "input_dim must be in [1, 4096], got 0"),
+        (dataset_bytes(input_dim=width + 1), "input_dim must be in [1, 4096], got 4097"),
+        (dataset_bytes(c_l=0), "class counts must be in [1, 4096], got 0 and 3"),
+        (dataset_bytes(c_u=k + 1), "class counts must be in [1, 4096], got 2 and 4097"),
+        (dataset_bytes(n_l=0), "need at least 1 L row and 2 U rows, found 0 and 2"),
+        (dataset_bytes(n_u=1), "need at least 1 L row and 2 U rows, found 1 and 1"),
+        (data.HEADER.pack(data.MAGIC, width, 2, 3, 1, width),
+         f"rows x input_dim must be <= {2**24}"),
+    ]
+    for blob, message in cases:
+        path.write_bytes(blob)
+        assert load_error(path) == message, blob[:40]
+
+
+def test_load_dataset_row_errors(tmp_path, monkeypatch):
+    path, good = tmp_path / "bad.bin", dataset_bytes()
+    cases = [
+        (good[:-1], f"expected {len(good)} bytes, found {len(good) - 1}"),
+        (good + b"\0", f"expected {len(good)} bytes, found {len(good) + 1}"),
+        (dataset_bytes(x=[0.5] * 5 + [np.nan]), "non-finite feature value"),
+        (dataset_bytes(x=[np.inf] + [0.5] * 5), "non-finite feature value"),
+        (dataset_bytes(x=[0.5] * 4 + [-np.inf, 0.5]), "non-finite feature value"),
+        (dataset_bytes(y_l=2), "labeled class index outside [0, 2)"),
+        (dataset_bytes(y_l=-1), "labeled class index outside [0, 2)"),
+        (dataset_bytes(y_u=[0, 3]), "hidden class index outside [0, 3)"),
+        (dataset_bytes(y_u=[-(2**63), 1]), "hidden class index outside [0, 3)"),
+    ]
+    for blob, message in cases:
+        path.write_bytes(blob)
+        assert load_error(path) == message, blob
+    # a file that shrinks between its size check and its read
+    path.write_bytes(good[:-8])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(good)))
+    assert load_error(path) == "file ended inside its arrays"
+    monkeypatch.undo()
+    path.write_bytes(good)
+    assert len(load_dataset(str(path)).unlabeled) == 2
+
+
+@pytest.mark.parametrize(
+    "n_l, n_u, message",
+    [
+        (0, 0, "need at least 1 L row and 2 U rows, found 0 and 0"),
+        (1, 2, "expected 96 bytes, found 24"),
+    ],
+    ids=["header-only", "body-missing"],
+)
+def test_empty_body_fails_without_warning(n_l, n_u, message, tmp_path):
+    # a file that ends at its header: one that claims no rows, and one whose rows are missing
+    path = tmp_path / "ds.bin"
+    path.write_bytes(dataset_bytes(n_l=n_l, n_u=n_u)[: data.HEADER.size])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_error(path) == message
+
+
+@pytest.mark.parametrize("side", ["labeled", "unlabeled"])
+def test_rows_times_classes_cap(side, tmp_path):
+    # a 4096-class one-hot takes 32 KB a row: 4096 rows reach the cap, one more is beyond it
+    k, path = data.MAX_CLASSES, tmp_path / "tall.bin"
+    for rows in (data.MAX_SPLIT_VALUES // k, data.MAX_SPLIT_VALUES // k + 1):
+        counts = dict(c_l=k, n_l=rows, c_u=2) if side == "labeled" else dict(c_l=1, c_u=k, n_u=rows)
+        path.write_bytes(dataset_bytes(input_dim=1, y_l=0, y_u=1, **counts))
+        if rows * k <= data.MAX_SPLIT_VALUES:
+            ds = load_dataset(str(path))
+            n, c = (len(ds.labeled), ds.c_l) if side == "labeled" else (len(ds.unlabeled), ds.c_u)
+            assert (n, c) == (rows, k)
+        else:
+            assert load_error(path) == f"rows x classes must be <= {2**24} on each side"
+
+
+def test_header_at_the_caps_is_refused_before_its_arrays(tmp_path):
+    # a header every cap admits claims 134 MB of arrays; the file holds only the header
+    path, k, width = tmp_path / "huge.bin", data.MAX_CLASSES, data.MAX_WIDTH
+    path.write_bytes(data.HEADER.pack(data.MAGIC, width, k, k, width // 2, width // 2))
+    peak = traced_peak(lambda: pytest.raises(DataFormatError, load_dataset, str(path)))
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+    size = data.HEADER.size + 8 * width * (width + 1)
+    assert load_error(path) == f"expected {size} bytes, found {data.HEADER.size}"
 
 
 def test_save_dataset_peak_memory(tmp_path):
-    # a 10k-row, 3.2 MB file: one 2048-row chunk holds its floats as Python
-    # objects (about 1 MB), then its text and its bytes (0.7 MB each), about
-    # 2.6 MB. The whole-file text and bytes alone are 6.3 MB; a writer
-    # building them peaked at 10.1 MB.
+    # a 10k-row file: the writer hands the arrays' own memory to the file, so it holds
+    # no text and no copy of them (1.4 MB); a text writer of 2048-row chunks peaked at
+    # about 2.6 MB
     ds = generate_blobs(SplitSpec(per_class=1000))
-    peak = traced_peak(lambda: save_dataset(str(tmp_path / "ds.csv"), ds))
-    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+    peak = traced_peak(lambda: save_dataset(str(tmp_path / "ds.bin"), ds))
+    assert peak < 1e5, f"peak {peak / 1e6:.2f} MB"
 
 
-def test_load_dataset_peak_memory(tmp_path, monkeypatch):
-    # the C route on that file, four chunks: the split arrays (1.4 MB), allocated once
-    # after the counting pass, beside one 1 MiB chunk's bytes and its parsed rows
-    # (0.5 MB), traced at 3.5 MB. A loader that held the split arrays once in parts and
-    # once joined also peaked at 3.5 MB; one that held the file's bytes and all its
-    # parsed rows, at 6.3 MB; one that also held a decoded text copy, at 9.5 MB.
-    path = str(tmp_path / "ds.csv")
+def test_load_dataset_peak_memory(tmp_path):
+    # a 10k-row file: the split arrays (1.4 MB) are allocated once and read into; a text
+    # loader that parsed 1 MiB chunks into them was traced at 3.5 MB
+    path = str(tmp_path / "ds.bin")
     save_dataset(path, generate_blobs(SplitSpec(per_class=1000)))
-    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
     peak = traced_peak(lambda: load_dataset(path))
     assert peak < 4.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_load_dataset_peak_below_file_size(tmp_path, monkeypatch):
-    # a 20k-row, 6.3 MB file of six chunks: the split arrays (2.7 MB) and one chunk
-    # peak at 4.8 MB, below the file's own size; the split arrays held twice, in parts
-    # and joined, peaked at 5.5 MB, and a whole-file loader held about twice the file
-    path = str(tmp_path / "ds.csv")
-    save_dataset(path, generate_blobs(SplitSpec(per_class=2000)))
-    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
-    peak = traced_peak(lambda: load_dataset(path))
-    assert peak < os.path.getsize(path), f"peak {peak / 1e6:.1f} MB"
-
-
-def test_load_dataset_peak_over_split_arrays(tmp_path, monkeypatch):
-    # the 50k-row, 15.8 MB file: the split arrays (6.8 MB) are allocated once and
-    # filled chunk by chunk, traced at 8.9 MB; held in parts and then joined, 13.6 MB
-    spec, path = SplitSpec(per_class=5000), str(tmp_path / "ds.csv")
+def test_load_dataset_peak_over_split_arrays(tmp_path):
+    # the 50k-row file: beside the split arrays (6.8 MB), the finiteness check holds one
+    # side's flags (0.4 MB) and the hidden truth its copy of the labels (0.2 MB)
+    spec, path = SplitSpec(per_class=5000), str(tmp_path / "ds.bin")
     save_dataset(path, generate_blobs(spec))
-    monkeypatch.setattr(data, "_read_lines", None)  # the C route only
     peak = traced_peak(lambda: load_dataset(path))
     split = (spec.c_l + spec.c_u) * spec.per_class * (spec.input_dim + 1) * 8  # x and y
-    assert peak <= split + 3e6, f"peak {peak / 1e6:.1f} MB over {split / 1e6:.1f} MB"
+    assert peak <= split + 1e6, f"peak {peak / 1e6:.2f} MB over {split / 1e6:.1f} MB"
 
 
 def test_generate_blobs_peak_memory():

@@ -1,6 +1,7 @@
 """experiments/run_hashes.py gives the same digests for the same run, and its
-spaced dataset copy loads to the same arrays by the other route."""
+load digest is the sha256 of the generated arrays."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -34,20 +35,12 @@ def test_same_case_gives_the_same_digests(tmp_path, monkeypatch):
     assert run != pretrain
 
 
-def test_spaced_copy_loads_to_the_same_arrays(tmp_path, monkeypatch):
+def test_load_digest_covers_the_generated_arrays_in_order(tmp_path, monkeypatch):
     tool = load_tool(monkeypatch)
-    path, spaced = str(tmp_path / "ds.csv"), str(tmp_path / "ds.csv.spaced")
-    data.save_dataset(path, data.generate_blobs(data.SplitSpec(seed=0)))
-    tool.spaced_copy(path, spaced)
-
-    read_lines, routed = data._read_lines, []
-
-    def counted_read_lines(*args):
-        routed.append(args)
-        return read_lines(*args)
-
-    monkeypatch.setattr(data, "_read_lines", counted_read_lines)
-    writer_digest = tool.load_digest(path)
-    assert not routed  # the writer's file stays on the C route
-    assert tool.load_digest(spaced) == writer_digest
-    assert len(routed) == 1  # the spaced copy takes the per-line route
+    ds = data.generate_blobs(data.SplitSpec(seed=0))
+    path = str(tmp_path / "ds.bin")
+    data.save_dataset(path, ds)
+    digest = hashlib.sha256()
+    for arr in (ds.labeled.x, ds.labeled.y, ds.unlabeled.x, ds.truth.labels_for_eval()):
+        digest.update(arr.tobytes())
+    assert tool.load_digest(path) == digest.hexdigest()
