@@ -33,11 +33,8 @@ def save_checkpoint(path: str, model: TwoHeadMLP) -> None:
         model.c_l,
         model.c_u,
     ]
-    blob = bytearray(MAGIC)
-    blob += struct.pack(f"<{len(header)}I", *header)
-    for p in iter_params(model):
-        blob += np.ascontiguousarray(p, dtype="<f8").tobytes()
-    write_atomic(path, (blob,))
+    params = (np.ascontiguousarray(p, "<f8").data.cast("B") for p in iter_params(model))
+    write_atomic(path, [MAGIC + struct.pack(f"<{len(header)}I", *header), *params])
 
 
 def load_checkpoint(path: str) -> TwoHeadMLP:

@@ -104,6 +104,10 @@ def check_hidden_stack(hidden_dims: list[int], feature_dim: int, error=ConfigErr
 # at the cap and MAX_WIDTH.
 MAX_BATCH_MIXED = 2**12
 
+# Largest unlabeled batch: the pairwise PPL holds about eight batch x batch
+# float64 arrays, 256 MB at the cap.
+MAX_BATCH_UNLABELED = 2**11
+
 
 @dataclass
 class RunConfig:
@@ -150,6 +154,8 @@ class RunConfig:
             raise ConfigError("batch sizes must be >= 1")
         if self.batch_mixed > MAX_BATCH_MIXED:
             raise ConfigError(f"batch_mixed must be <= {MAX_BATCH_MIXED}")
+        if self.batch_unlabeled > MAX_BATCH_UNLABELED:
+            raise ConfigError(f"batch_unlabeled must be <= {MAX_BATCH_UNLABELED}")
         if min(self.pretrain_epochs, self.cluster_epochs, self.freeze_epochs) < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.labeled_mix_epoch < 1 or self.anchor_mix_epoch < 1:

@@ -110,9 +110,7 @@ def traced_peak(call) -> float:
 
 
 def tiny_spec(seed=0):
-    return data.SplitSpec(
-        c_l=2, c_u=3, per_class=8, input_dim=6, separation=6.0, sigma=1.0, seed=seed
-    )
+    return data.SplitSpec(c_l=2, c_u=3, per_class=8, input_dim=6, separation=6.0, seed=seed)
 
 
 def tiny_config(**kw):

@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +25,6 @@ c_u = 3
 per_class = 8
 input_dim = 6
 separation = 6.0
-sigma = 1.0
 seed = 0
 """
 
@@ -184,7 +182,12 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    ["feature_dim=1000000000000", "hidden_dims=100000000000", "batch_mixed=1000000000000"],
+    [
+        "feature_dim=1000000000000",
+        "hidden_dims=100000000000",
+        "batch_mixed=1000000000000",
+        "batch_unlabeled=1000000000000",
+    ],
 )
 def test_huge_model_width_exits_2(setting, tmp_path, capsys):
     rc = cli.main(["pretrain", "--config", str(write_config(tmp_path)), "--set", setting])
@@ -225,18 +228,6 @@ def test_wide_spec_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "input_dim must be <= 4096" in err
-
-
-def test_overflowing_spec_exits_2_and_writes_nothing(tmp_path, capsys):
-    spec = tmp_path / "overflow.spec"
-    spec.write_text(SPEC_TEXT.replace("sigma = 1.0", "sigma = 1e308"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not (tmp_path / "d" / cli.DATASET_FILE).exists()
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_non_finite_override_exits_2(pipeline, capsys):
@@ -352,11 +343,15 @@ def test_removed_config_key_exits_2(key, value, tmp_path, capsys):
 
 
 def test_bad_spec_key_exits_2(tmp_path, capsys):
+    # sigma was a spec key until the blobs were fixed at unit variance
     spec = tmp_path / "bad.spec"
-    spec.write_text("c_l = 2\nnot_a_knob = 9\n", encoding="utf-8")
-    rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
-    assert rc == 2
-    assert "not_a_knob" in capsys.readouterr().err
+    for key, value in [("not_a_knob", "9"), ("sigma", "1.0")]:
+        spec.write_text(f"c_l = 2\n{key} = {value}\n", encoding="utf-8")
+        rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unknown key {key!r}" in err, err
+        assert not (tmp_path / "d").exists()
 
 
 def test_eval_geometry_mismatch_exits_4(pipeline, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from openmix.config import (
     MAX_BATCH_MIXED,
+    MAX_BATCH_UNLABELED,
     MAX_HIDDEN_LAYERS,
     MAX_STACK_WEIGHTS,
     MAX_WIDTH,
@@ -140,7 +141,7 @@ def test_validate_rejects(field, value):
         (RunConfig, "lambda2", float("nan")),
         (RunConfig, "epsilon", float("inf")),
         (SplitSpec, "separation", float("nan")),
-        (SplitSpec, "sigma", float("inf")),
+        (RunConfig, "batch_unlabeled", MAX_BATCH_UNLABELED + 1),
         (RunConfig, "seed", -1),
         (SplitSpec, "seed", -1),
         (RunConfig, "feature_dim", 10**12),

@@ -99,7 +99,7 @@ def test_overflowing_second_moment_stops_at_its_step(monkeypatch):
 def test_pretrain_separable_blobs_high_accuracy():
     # two linearly separable classes: near-perfect training accuracy once the
     # small fixed learning rate has had enough epochs to move the head
-    spec = data.SplitSpec(c_l=2, c_u=2, per_class=40, input_dim=8, separation=6.0, sigma=1.0, seed=1)
+    spec = data.SplitSpec(c_l=2, c_u=2, per_class=40, input_dim=8, separation=6.0, seed=1)
     ds = data.generate_blobs(spec)
     cfg = tiny_config(pretrain_epochs=400, feature_dim=32, seed=1)
     model = train.build_model(cfg, ds.input_dim, ds.c_l, ds.c_u)
