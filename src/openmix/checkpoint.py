@@ -8,6 +8,7 @@ nn.layer_shapes in its order.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -38,7 +39,7 @@ def save_checkpoint(path: str, model: TwoHeadMLP) -> None:
 
 
 def load_checkpoint(path: str) -> TwoHeadMLP:
-    """The model in path; reads no more than its header implies, plus one byte."""
+    """The model in path; its size is checked against its header before its parameters are read."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
@@ -54,13 +55,13 @@ def load_checkpoint(path: str) -> TwoHeadMLP:
             raise CheckpointError(
                 f"{path}: input_dim must be in [1, {MAX_WIDTH}], C_l and C_u in [1, {MAX_CLASSES}]"
             )
-        shapes = layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u)
-        expected = parameter_count(input_dim, hidden_dims, feature_dim, c_l, c_u)
-        payload = fh.read(8 * expected + 1)  # a byte past the payload is trailing data
-    if len(payload) != 8 * expected:
-        found = len(payload) // 8 if len(payload) < 8 * expected else f"more than {expected}"
-        raise CheckpointError(f"{path}: expected {expected} parameters, found {found}")
-    flat = np.frombuffer(payload, dtype="<f8")
+        count = parameter_count(input_dim, hidden_dims, feature_dim, c_l, c_u)
+        size = 4 * (3 + k) + 8 * count  # the magic and 2 + k u32 fields, then the parameters
+        if (found := os.fstat(fh.fileno()).st_size) != size:
+            raise CheckpointError(f"{path}: expected {size} bytes, found {found}")
+        flat = np.empty(count, "<f8")  # the one array the model's layers view
+        if fh.readinto(flat) != flat.nbytes:
+            raise CheckpointError(f"{path}: file ended inside its parameters")
     if not np.isfinite(flat).all():
         raise CheckpointError(f"{path}: non-finite parameter")
-    return on_flat(shapes, flat.astype(np.float64))
+    return on_flat(layer_shapes(input_dim, hidden_dims, feature_dim, c_l, c_u), flat)

@@ -1,10 +1,13 @@
 """Shared test utilities: finite-difference gradients, tiny fixtures, the
 loss oracles (cosine matrix, two-log PPL, PLL), the network's explicit-feature
 route and the helpers that only tests call (log_softmax, zero gradients,
-random theory cases, recorded file reads, hand-built dataset files, traced
-peaks)."""
+random theory cases, hand-built dataset files, traced peaks) and the loader of
+the experiment tools."""
 
+import importlib.util
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -67,28 +70,15 @@ def pll_reference(z, labels, assigned):
     return float(-(labels[assigned] * logp[assigned]).sum() / n_hat)
 
 
-class RecordingFile:
-    """A binary file that records the byte count each read asks for."""
-
-    def __init__(self, path, asked):
-        self.fh, self.asked = open(path, "rb"), asked
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def read(self, size=-1):
-        self.asked.append(size)
-        return self.fh.read(size)
-
-
-def recorded_reads(monkeypatch, module) -> list:
-    """The byte counts that the reads of files module opens ask for, from now on."""
-    asked = []
-    monkeypatch.setattr(module, "open", lambda p, mode: RecordingFile(p, asked), raising=False)
-    return asked
+def load_experiment(monkeypatch, name):
+    """experiments/<name>.py, loaded as a module."""
+    # loading a tool pins BLAS threads in os.environ; monkeypatch undoes it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = Path(__file__).resolve().parents[1] / "experiments" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def dataset_bytes(input_dim=2, c_l=2, c_u=3, n_l=1, n_u=2, x=0.5, y_l=0, y_u=0):
@@ -109,8 +99,9 @@ def traced_peak(call) -> float:
         tracemalloc.stop()
 
 
-def tiny_spec(seed=0):
-    return data.SplitSpec(c_l=2, c_u=3, per_class=8, input_dim=6, separation=6.0, seed=seed)
+def tiny_spec(**fields):
+    """Two old and three new classes of 8 rows each in 6 dimensions, with these fields changed."""
+    return replace(data.SplitSpec(c_l=2, c_u=3, per_class=8, input_dim=6, separation=6.0), **fields)
 
 
 def tiny_config(**kw):

@@ -1,13 +1,27 @@
 """Binary checkpoint round-trips and corruption handling."""
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from openmix import checkpoint, nn
 from openmix.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from helpers import model_params_flat, recorded_reads, tiny_model, traced_peak
+from helpers import model_params_flat, tiny_model, traced_peak
+
+
+def header(input_dim, hidden, feature_dim, c_l, c_u):
+    """The magic bytes and u32 fields that save_checkpoint writes for this geometry."""
+    fields = [input_dim, len(hidden), *hidden, feature_dim, c_l, c_u]
+    return checkpoint.MAGIC + struct.pack(f"<{len(fields)}I", *fields)
+
+
+def saved(**kw):
+    """The bytes save_checkpoint writes for tiny_model(**kw)."""
+    m = tiny_model(**kw)
+    head = header(m.input_dim, m.hidden_dims, m.feature_dim, m.c_l, m.c_u)
+    return head + model_params_flat(m).astype("<f8").tobytes()
 
 
 def test_roundtrip_bitwise(tmp_path):
@@ -39,8 +53,7 @@ def test_save_writes_parameters_from_their_own_memory(tmp_path):
     params = model_params_flat(m)
     peak = traced_peak(lambda: save_checkpoint(str(path), m))
     assert peak < 0.1 * params.nbytes, f"peak {peak / params.nbytes:.3f} times the parameters"
-    head = checkpoint.MAGIC + struct.pack("<5I", 100, 0, 384, 80, 20)
-    assert path.read_bytes() == head + params.astype("<f8").tobytes()
+    assert path.read_bytes() == header(100, [], 384, 80, 20) + params.astype("<f8").tobytes()
 
 
 def test_save_is_deterministic(tmp_path):
@@ -48,117 +61,76 @@ def test_save_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.omx", tmp_path / "b.omx"
     save_checkpoint(str(p1), m)
     save_checkpoint(str(p2), m)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes() == p2.read_bytes() == saved(seed=5)
 
 
-def test_bad_magic(tmp_path):
-    path = tmp_path / "m.omx"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(str(path))
+TINY = saved()  # 28 header bytes and 83 parameters: 692 bytes
+WIDE = "feature_dim and hidden_dims must be in [1, 4096]"
+DEEP = "hidden_dims must hold at most 64 widths"
+HEAVY = f"hidden_dims and feature_dim must hold <= {2**24} weights"
+FEW = "input_dim must be in [1, 4096], C_l and C_u in [1, 4096]"
 
+MB = bytes(2**20)
 
-def test_truncated_header(tmp_path):
-    m = tiny_model()
-    path = tmp_path / "m.omx"
-    save_checkpoint(str(path), m)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:10])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(str(path))
-
-
-def test_header_cut_inside_hidden_widths(tmp_path):
-    path = tmp_path / "m.omx"
-    save_checkpoint(str(path), tiny_model(hidden=(4, 3)))
+# file bytes, and the message after "{path}: "
+MALFORMED = {
+    "bad magic": (b"NOPE" + bytes(64), "bad magic bytes, not a checkpoint"),
+    "truncated header": (TINY[:10], "truncated header"),
     # magic, input_dim, n_hidden = 2, then only the first hidden width
-    path.write_bytes(path.read_bytes()[:16])
-    with pytest.raises(CheckpointError, match="truncated header"):
-        load_checkpoint(str(path))
-
-
-def test_huge_hidden_count_in_short_file(tmp_path):
-    path = tmp_path / "m.omx"
-    path.write_bytes(b"OMX1" + struct.pack("<4I", 3, 2**32 - 1, 4, 5))
-    assert len(path.read_bytes()) == 20
-    with pytest.raises(CheckpointError, match="truncated header"):
-        load_checkpoint(str(path))
-
-
-def test_truncated_payload(tmp_path):
-    m = tiny_model()
-    path = tmp_path / "m.omx"
-    save_checkpoint(str(path), m)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(CheckpointError, match="expected"):
-        load_checkpoint(str(path))
-
-
-def test_zero_dim_and_non_finite_rejected(tmp_path):
-    path = tmp_path / "m.omx"
-    # feature_dim 0 with a payload of the matching (smaller) size
-    count = nn.parameter_count(3, [], 0, 1, 2)
-    path.write_bytes(b"OMX1" + struct.pack("<5I", 3, 0, 0, 1, 2) + bytes(8 * count))
-    with pytest.raises(CheckpointError, match="dims"):
-        load_checkpoint(str(path))
-    save_checkpoint(str(path), tiny_model())
-    blob = bytearray(path.read_bytes())
-    for bad in (float("nan"), float("inf")):
-        blob[-8:] = struct.pack("<d", bad)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="non-finite"):
-            load_checkpoint(str(path))
-
-
-# (input_dim, hidden_dims, feature_dim, C_l, C_u) beyond a cap, with the message that names it
-OVERSIZED = {
-    "wide feature": ((1, [], 50_000, 1, 1), r"feature_dim and hidden_dims must be in \[1, 4096\]"),
-    "deep stack": ((1, [1] * 65, 1, 1, 1), "hidden_dims must hold at most 64 widths"),
-    "heavy stack": ((1, [4096, 4096], 1, 1, 1), f"must hold <= {2**24} weights"),
-    "wide input": ((4097, [], 1, 1, 1), r"input_dim must be in \[1, 4096\]"),
-    "many old classes": ((1, [], 1, 4097, 1), r"C_l and C_u in \[1, 4096\]"),
-    "many new classes": ((1, [], 1, 1, 4097), r"C_l and C_u in \[1, 4096\]"),
+    "header cut inside hidden widths": (saved(hidden=(4, 3))[:16], "truncated header"),
+    "huge hidden count": (b"OMX1" + struct.pack("<4I", 3, 2**32 - 1, 4, 5), "truncated header"),
+    "endless hidden widths": (b"OMX1" + struct.pack("<2I", 3, 2**32 - 1) + MB, DEEP),
+    "truncated payload": (TINY[:-8], "expected 692 bytes, found 684"),
+    "trailing byte": (TINY + b"\0", "expected 692 bytes, found 693"),
+    "trailing megabyte": (saved(hidden=(4, 3)) + MB, f"expected 776 bytes, found {776 + 2**20}"),
+    "zero feature_dim": (header(3, [], 0, 1, 2) + bytes(8 * 3), WIDE),  # and its 3 biases
+    "nan parameter": (TINY[:-8] + struct.pack("<d", float("nan")), "non-finite parameter"),
+    "inf parameter": (TINY[:-8] + struct.pack("<d", float("inf")), "non-finite parameter"),
 }
+# a bare header beyond a cap, and the message that names it
+OVERSIZED = {
+    "wide feature": (header(1, [], 50_000, 1, 1), WIDE),
+    "deep stack": (header(1, [1] * 65, 1, 1, 1), DEEP),
+    "heavy stack": (header(1, [4096] * 2, 1, 1, 1), HEAVY),
+    "wide input": (header(4097, [], 1, 1, 1), FEW),
+    "many old classes": (header(1, [], 1, 4097, 1), FEW),
+    "many new classes": (header(1, [], 1, 1, 4097), FEW),
+}
+
+
+def load_error(path) -> str:
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(str(path))
+    return str(exc.value)
+
+
+def assert_refused(row, tmp_path):
+    """Load row's bytes: its exact message, a traced peak under 100 KB, nothing made."""
+    blob, message = row
+    path, errors = tmp_path / "m.omx", []
+    path.write_bytes(blob)
+    peak = traced_peak(lambda: errors.append(load_error(path)))
+    assert errors == [f"{path}: {message}"] and peak < 100_000, f"peak {peak} bytes"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_is_refused(case, tmp_path):
+    # nothing past what the header implies is read: neither megabyte reaches memory
+    assert_refused(MALFORMED[case], tmp_path)
 
 
 @pytest.mark.parametrize("case", list(OVERSIZED))
 def test_oversized_header_rejected_before_the_payload(case, tmp_path):
-    # a hand-built header alone: the caps are checked before the payload's size
-    (input_dim, hidden, feature_dim, c_l, c_u), match = OVERSIZED[case]
-    header = [input_dim, len(hidden), *hidden, feature_dim, c_l, c_u]
+    # the caps are checked before the payload's size: these files hold no payload
+    assert_refused(OVERSIZED[case], tmp_path)
+
+
+def test_file_shrunk_after_its_size_check(tmp_path, monkeypatch):
     path = tmp_path / "m.omx"
-    path.write_bytes(b"OMX1" + struct.pack(f"<{len(header)}I", *header))
-    with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(str(path))
-
-
-def test_loader_reads_the_payload_plus_one_byte(tmp_path, monkeypatch):
-    m = tiny_model(hidden=(4, 3))
-    count = nn.parameter_count(m.input_dim, m.hidden_dims, m.feature_dim, m.c_l, m.c_u)
-    path = tmp_path / "m.omx"
-    save_checkpoint(str(path), m)
-    size = path.stat().st_size
-    asked = recorded_reads(monkeypatch, checkpoint)
-    load_checkpoint(str(path))
-    assert min(asked) >= 0 and sum(asked) == size + 1
-    # a megabyte of trailing data is caught by that one byte, not read
-    path.write_bytes(path.read_bytes() + bytes(2**20))
-    asked.clear()
-    trailing = f"expected {count} parameters, found more than {count}"
-    with pytest.raises(CheckpointError, match=trailing):
-        load_checkpoint(str(path))
-    assert min(asked) >= 0 and sum(asked) == size + 1
-
-
-def test_loader_reads_no_widths_past_the_cap(tmp_path, monkeypatch):
-    path = tmp_path / "m.omx"
-    path.write_bytes(b"OMX1" + struct.pack("<2I", 3, 2**32 - 1) + bytes(2**20))
-    asked = recorded_reads(monkeypatch, checkpoint)
-    with pytest.raises(CheckpointError, match="hidden_dims must hold at most 64 widths"):
-        load_checkpoint(str(path))
-    # magic, input_dim and the count, then one width past the cap and the three dims
-    assert asked == [4, 8, 4 * (64 + 1 + 3)]
+    path.write_bytes(TINY[:-8])
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: SimpleNamespace(st_size=len(TINY)))
+    assert load_error(path) == f"{path}: file ended inside its parameters"
 
 
 def test_missing_file():

@@ -16,8 +16,8 @@ import pytest
 
 from openmix import cli, theory, train
 from openmix.checkpoint import load_checkpoint, save_checkpoint
-from openmix.data import load_dataset
-from helpers import dataset_bytes
+from openmix.data import Dataset, generate_blobs, load_dataset, save_dataset
+from helpers import dataset_bytes, tiny_spec
 
 SPEC_TEXT = """\
 c_l = 2
@@ -165,37 +165,6 @@ def test_set_override_changes_epoch_count(pipeline, tmp_path):
     assert len(rows) == 1 + 2
 
 
-def test_bad_override_key_exits_2(pipeline, capsys):
-    rc = cli.main(["pretrain", "--config", str(pipeline.cfg), "--set", "nope=1"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "nope" in err
-
-
-def test_invalid_config_value_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, theta1=2.0)
-    rc = cli.main(["pretrain", "--config", str(cfg)])
-    assert rc == 2
-    assert "theta1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "setting",
-    [
-        "feature_dim=1000000000000",
-        "hidden_dims=100000000000",
-        "batch_mixed=1000000000000",
-        "batch_unlabeled=1000000000000",
-    ],
-)
-def test_huge_model_width_exits_2(setting, tmp_path, capsys):
-    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path)), "--set", setting])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and setting.split("=")[0] in err
-
-
 @pytest.mark.parametrize(
     "widths", [[4096] * 8, [1] * 100_000], ids=["8 layers of 4096", "100000 layers of 1"]
 )
@@ -209,76 +178,6 @@ def test_huge_hidden_stack_exits_2_before_reading_data(widths, tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "hidden_dims" in err and "must hold" in err
-
-
-def test_huge_spec_exits_2(tmp_path, capsys):
-    spec = tmp_path / "huge.spec"
-    spec.write_text(SPEC_TEXT.replace("per_class = 8", "per_class = 1000000000000"))
-    rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "per_class" in err
-
-
-def test_wide_spec_exits_2(tmp_path, capsys):
-    # small enough for the split-size cap, too wide for the first layer
-    spec = tmp_path / "wide.spec"
-    spec.write_text("c_l = 1\nc_u = 2\nper_class = 1\ninput_dim = 1500000\n")
-    rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "input_dim must be <= 4096" in err
-
-
-def test_non_finite_override_exits_2(pipeline, capsys):
-    rc = cli.main(["pretrain", "--config", str(pipeline.cfg), "--set", "lr=nan"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "lr must be finite" in err
-
-
-def test_divergence_exits_3(pipeline, tmp_path, capsys):
-    rc = cli.main([
-        "pretrain", "--config", str(pipeline.cfg),
-        "--set", "lr=1e200", "--set", f"out_dir={tmp_path}",
-    ])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("divergence: labeled-batch logits became non-finite at epoch 1")
-    assert not (tmp_path / cli.PRETRAIN_FILE).exists()
-
-
-def test_overflowing_second_moments_exit_3(pipeline, tmp_path, capsys):
-    # squared mixing gradients overflow the RMSprop moments to inf, whose
-    # parameters would then take g / inf = 0 updates and silently stop
-    rc = cli.main([
-        "cluster", "--config", str(pipeline.cfg),
-        "--checkpoint", str(pipeline.root / "out" / cli.PRETRAIN_FILE),
-        "--set", "lambda2=1e160", "--set", f"out_dir={tmp_path}",
-    ])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("divergence: RMSprop second moments became non-finite at epoch 2")
-    assert not (tmp_path / cli.MODEL_FILE).exists()
-
-
-def test_divergence_prints_one_stderr_line(pipeline, tmp_path):
-    # in a fresh interpreter with numpy's default warning setting: the
-    # overflow on the way to the divergence prints no RuntimeWarning
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "openmix.cli", "cluster", "--config", str(pipeline.cfg),
-            "--checkpoint", str(pipeline.root / "out" / cli.PRETRAIN_FILE),
-            "--set", "lambda2=1e160", "--set", f"out_dir={tmp_path}",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=package_env(),
-    )
-    assert proc.returncode == 3
-    assert proc.stderr == "divergence: RMSprop second moments became non-finite at epoch 2\n"
 
 
 class ClosedPipe:
@@ -311,267 +210,267 @@ def test_closed_stdout_exits_1_quietly(tmp_path, capsys, monkeypatch):
         os.close(fd)
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    rc = cli.main(["pretrain", "--config", str(tmp_path / "absent.cfg")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("config error:")
+def configured(*settings, **fields):
+    """pretrain under write_config(tmp, **fields), then each setting as a --set."""
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    return lambda p, tmp: ["pretrain", "--config", str(write_config(tmp, **fields)), *sets]
 
 
-def test_missing_dataset_exits_4(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    (tmp_path / "data").mkdir()
-    rc = cli.main(["pretrain", "--config", str(cfg)])
-    assert rc == 4
-    assert capsys.readouterr().err.startswith("i/o error:")
+def override(command, setting):
+    """pretrain or cluster on the pipeline's files, then --set setting and out_dir in tmp."""
+
+    def argv(p, tmp):
+        ckpt = ["--checkpoint", str(p.root / "out" / cli.PRETRAIN_FILE)]
+        sets = ["--set", setting, "--set", f"out_dir={tmp}/out"]
+        return [command, "--config", str(p.cfg), *(ckpt if command == "cluster" else []), *sets]
+
+    return argv
 
 
-@pytest.mark.parametrize(
-    "key,value",
-    [
-        ("opm_softmax", "joint"),
-        ("anchor_labels", "onehot"),
-        ("rmsprop_rho", "0.9"),
-        ("rmsprop_eps", "1e-8"),
-    ],
-)
-def test_removed_config_key_exits_2(key, value, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-    rc = cli.main(["pretrain", "--config", str(cfg)])
-    assert rc == 2
-    assert f"unknown key {key!r}" in capsys.readouterr().err
+def written(path, blob) -> str:
+    """path, as a string, once it holds blob."""
+    path.write_bytes(blob)
+    return str(path)
 
 
-def test_bad_spec_key_exits_2(tmp_path, capsys):
-    # sigma was a spec key until the blobs were fixed at unit variance
-    spec = tmp_path / "bad.spec"
-    for key, value in [("not_a_knob", "9"), ("sigma", "1.0")]:
-        spec.write_text(f"c_l = 2\n{key} = {value}\n", encoding="utf-8")
-        rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"unknown key {key!r}" in err, err
-        assert not (tmp_path / "d").exists()
+def config_file(blob):
+    return lambda p, tmp: ["pretrain", "--config", written(tmp / "run.cfg", blob)]
 
 
-def test_eval_geometry_mismatch_exits_4(pipeline, tmp_path, capsys):
-    spec = tmp_path / "wide.spec"
-    spec.write_text(SPEC_TEXT.replace("input_dim = 6", "input_dim = 7"), encoding="utf-8")
-    rc, _ = run_cli(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "data")])
-    assert rc == 0
-    rc = cli.main(
-        [
-            "eval",
-            "--checkpoint",
-            str(pipeline.root / "out" / "model.omx"),
-            "--data",
-            str(tmp_path / "data"),
-        ]
-    )
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:")
-    assert "input_dim" in err
+def spec_file(blob):
+    return lambda p, tmp: ["gen-data", "--spec", written(tmp / "s.spec", blob), "--out", f"{tmp}/d"]
 
 
-def test_eval_new_class_count_mismatch_exits_4(pipeline, tmp_path, capsys):
-    spec = tmp_path / "extra.spec"
-    spec.write_text(SPEC_TEXT.replace("c_u = 3", "c_u = 4"), encoding="utf-8")
-    rc, _ = run_cli(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "data")])
-    assert rc == 0
-    rc = cli.main(
-        [
-            "eval",
-            "--checkpoint",
-            str(pipeline.root / "out" / "model.omx"),
-            "--data",
-            str(tmp_path / "data"),
-        ]
-    )
-    assert rc == 4
-    assert "C_u" in capsys.readouterr().err
+def eval_argv(p, data_dir, ckpt=None):
+    """eval of ckpt, by default the pipeline's clustered model, on data_dir."""
+    ckpt = ckpt or p.root / "out" / cli.MODEL_FILE
+    return ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]
 
 
-def test_text_dataset_exits_4(tmp_path, capsys):
-    # a dataset in the old text format, under the binary file's name
-    (tmp_path / "data").mkdir()
-    dataset = tmp_path / "data" / cli.DATASET_FILE
-    dataset.write_bytes(b"omx-dataset,v1,6,2,3\nL,0,1.0,2.0,3.0,4.0,5.0,6.0\n")
-    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
-    assert rc == 4
-    assert capsys.readouterr().err == f"i/o error: {dataset}: bad magic bytes, not a dataset\n"
+def data_file(content, command="pretrain"):
+    """pretrain, or eval of the pipeline's model, on tmp/data holding content as its dataset:
+    bytes, a Dataset that save_dataset writes, or None for no file."""
+
+    def argv(p, tmp):
+        (tmp / "data").mkdir()
+        if isinstance(content, Dataset):
+            save_dataset(str(tmp / "data" / cli.DATASET_FILE), content)
+        elif content is not None:
+            written(tmp / "data" / cli.DATASET_FILE, content)
+        if command == "eval":
+            return eval_argv(p, tmp / "data")
+        return ["pretrain", "--config", str(write_config(tmp))]
+
+    return argv
 
 
-def test_non_utf8_config_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"seed = 0\n# caf\xe9\n")
-    rc = cli.main(["pretrain", "--config", str(cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "UTF-8" in err
+def nan_bias(p, tmp):
+    """eval of the pipeline's model with nan as its last new-head bias."""
+    blob = (p.root / "out" / cli.MODEL_FILE).read_bytes()[:-8] + struct.pack("<d", float("nan"))
+    return eval_argv(p, p.root / "data", written(tmp / "nan.omx", blob))
 
 
-def test_non_utf8_spec_exits_2(tmp_path, capsys):
-    spec = tmp_path / "blobs.spec"
-    spec.write_bytes(SPEC_TEXT.encode("utf-8") + b"# \x80\n")
-    rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "UTF-8" in err
-
-
-def write_dataset(tmp_path, **fields):
-    """tmp_path/data holding helpers.dataset_bytes(**fields) as its dataset file."""
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    (data_dir / cli.DATASET_FILE).write_bytes(dataset_bytes(**fields))
-    return data_dir
-
-
-def test_no_labeled_rows_exits_4(tmp_path, capsys):
-    write_dataset(tmp_path, input_dim=6, n_l=0, n_u=24, y_u=[0, 1, 2] * 8)
-    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "found 0 and 24" in err
-
-
-def test_header_only_dataset_exits_4(pipeline, tmp_path, capsys):
-    data_dir = write_dataset(tmp_path, input_dim=6, n_l=0, n_u=0)
-    model = str(pipeline.root / "out" / "model.omx")
-    rc = cli.main(["eval", "--checkpoint", model, "--data", str(data_dir)])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "found 0 and 0" in err
-
-
-def test_class_index_out_of_range_exits_4(tmp_path, capsys):
-    # the largest int64 as a labeled class of a 2-class side
-    write_dataset(tmp_path, y_l=2**63 - 1)
-    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "labeled class index outside [0, 2)" in err
-
-
-def test_huge_class_count_exits_4(tmp_path, capsys):
-    # every row is valid; the header's class count alone is beyond the cap
-    write_dataset(tmp_path, c_l=2**32 - 1)
-    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "class counts must be in [1, 4096]" in err
-
-
-def test_wide_dataset_exits_4(tmp_path, capsys):
-    # every row is valid; the header's input_dim alone is beyond the cap
-    write_dataset(tmp_path, input_dim=4097)
-    rc = cli.main(["pretrain", "--config", str(write_config(tmp_path))])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "input_dim must be in [1, 4096], got 4097" in err
-
-
-def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys):
-    blob = bytearray((pipeline.root / "out" / "model.omx").read_bytes())
-    blob[-8:] = struct.pack("<d", float("nan"))  # the last new-head bias
-    bad = tmp_path / "nan.omx"
-    bad.write_bytes(bytes(blob))
-    rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(pipeline.root / "data")])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error:") and "non-finite parameter" in err
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
-def test_endless_checkpoint_exits_4(pipeline):
-    resource = pytest.importorskip("resource")
-    limit = 2**30  # a loader that reads the whole stream stops at a MemoryError here
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "openmix.cli", "eval", "--checkpoint", "/dev/zero",
-            "--data", str(pipeline.root / "data"),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=cap_address_space,
-    )
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == "i/o error: /dev/zero: bad magic bytes, not a checkpoint\n"
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
-@pytest.mark.parametrize(
-    "argv, what",
-    [(["pretrain", "--config"], "config"), (["gen-data", "--out", "unused", "--spec"], "split spec")],
-    ids=["config", "spec"],
-)
-def test_endless_config_exits_2(argv, what, tmp_path):
-    resource = pytest.importorskip("resource")
-    limit = 2**30  # a reader that takes the whole stream stops at a MemoryError here
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "openmix.cli", *argv, "/dev/zero"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=tmp_path,
-        env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=cap_address_space,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"config error: {what} /dev/zero is larger than {2**20} bytes\n"
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
-def test_endless_dataset_exits_4(pipeline, tmp_path):
-    # an endless stream under the dataset's name fails at its first bytes, well
-    # inside an address-space limit
-    resource = pytest.importorskip("resource")
-    limit = 2**30
-    dataset = tmp_path / cli.DATASET_FILE
-    dataset.symlink_to("/dev/zero")
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "openmix.cli", "eval",
-            "--checkpoint", str(pipeline.root / "out" / cli.MODEL_FILE), "--data", str(tmp_path),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=cap_address_space,
-    )
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == f"i/o error: {dataset}: bad magic bytes, not a dataset\n"
-
-
-def test_eval_overflowing_logits_exit_3(pipeline, tmp_path, capsys):
+def huge_weights(p, tmp):
     # finite weights whose logits overflow: eval must not score them
-    model = load_checkpoint(str(pipeline.root / "out" / "model.omx"))
+    model = load_checkpoint(str(p.root / "out" / cli.MODEL_FILE))
     for layer in (*model.backbone, model.new_head):
         layer.w *= 1e200
-    big = tmp_path / "big.omx"
-    save_checkpoint(str(big), model)
-    rc = cli.main(["eval", "--checkpoint", str(big), "--data", str(pipeline.root / "data")])
-    assert rc == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("divergence: unlabeled-pool logits became non-finite")
+    save_checkpoint(str(tmp / "big.omx"), model)
+    return eval_argv(p, p.root / "data", tmp / "big.omx")
+
+
+WIDTHS = "feature_dim and hidden_dims must be in [1, 4096]"
+MOMENTS = "RMSprop second moments became non-finite at epoch 2"
+NO_FILE = "[Errno 2] No such file or directory: "
+DATA = "{tmp}/data/dataset.bin: "
+NO_ROWS = DATA + "need at least 1 L row and 2 U rows, found 0 and "
+
+# The refused inputs, each (argv builder, message) in the table of its exit code. A
+# builder takes the pipeline and tmp_path, writes its input files there, and points
+# every path the command might write there too; {tmp} in a message stands for tmp_path.
+BAD_CONFIG = {
+    "bad override key": (override("pretrain", "nope=1"), "override: unknown key 'nope'"),
+    "invalid config value": (configured(theta1=2.0), "theta1 must be in (0, 1)"),
+    "huge spec": (
+        spec_file(SPEC_TEXT.encode().replace(b"per_class = 8", b"per_class = 1000000000000")),
+        f"(c_l + c_u) * per_class * input_dim must be <= {2**24}",
+    ),
+    # small enough for the split-size cap, too wide for the first layer
+    "wide spec": (
+        spec_file(b"c_l = 1\nc_u = 2\nper_class = 1\ninput_dim = 1500000\n"),
+        "input_dim must be <= 4096",
+    ),
+    "non-finite override": (override("pretrain", "lr=nan"), "lr must be finite, got nan"),
+    "missing config file": (
+        lambda p, tmp: ["pretrain", "--config", f"{tmp}/absent.cfg"],
+        "cannot read config {tmp}/absent.cfg: " + NO_FILE + "'{tmp}/absent.cfg'",
+    ),
+    # a spec key that never was
+    "not_a_knob": (spec_file(b"c_l = 2\nnot_a_knob = 9\n"), "line 2: unknown key 'not_a_knob'"),
+    # sigma was a spec key until the blobs were fixed at unit variance
+    "sigma": (spec_file(b"c_l = 2\nsigma = 1.0\n"), "line 2: unknown key 'sigma'"),
+    "non-UTF-8 config": (
+        config_file(b"seed = 0\n# caf\xe9\n"),
+        "config {tmp}/run.cfg is not UTF-8 text: "
+        "'utf-8' codec can't decode byte 0xe9 in position 14: invalid continuation byte",
+    ),
+    "non-UTF-8 spec": (
+        spec_file(SPEC_TEXT.encode() + b"# \x80\n"),
+        "split spec {tmp}/s.spec is not UTF-8 text: "
+        "'utf-8' codec can't decode byte 0x80 in position 72: invalid start byte",
+    ),
+}
+DIVERGING = {
+    "divergence": (
+        override("pretrain", "lr=1e200"), "labeled-batch logits became non-finite at epoch 1"
+    ),
+    # squared mixing gradients overflow the RMSprop moments to inf, whose
+    # parameters would then take g / inf = 0 updates and silently stop
+    "overflowing second moments": (override("cluster", "lambda2=1e160"), MOMENTS),
+    "eval overflowing logits": (huge_weights, "unlabeled-pool logits became non-finite"),
+}
+BAD_FILES = {
+    "missing dataset": (data_file(None), NO_FILE + "'{tmp}/data/dataset.bin'"),
+    # a dataset in the old text format, under the binary file's name
+    "text dataset": (
+        data_file(b"omx-dataset,v1,6,2,3\nL,0,1.0,2.0,3.0,4.0,5.0,6.0\n"),
+        DATA + "bad magic bytes, not a dataset",
+    ),
+    "no labeled rows": (
+        data_file(dataset_bytes(input_dim=6, n_l=0, n_u=24, y_u=[0, 1, 2] * 8)), NO_ROWS + "24"
+    ),
+    "header-only dataset": (
+        data_file(dataset_bytes(input_dim=6, n_l=0, n_u=0), "eval"), NO_ROWS + "0"
+    ),
+    # the largest int64 as a labeled class of a 2-class side
+    "class index out of range": (
+        data_file(dataset_bytes(y_l=2**63 - 1)), DATA + "labeled class index outside [0, 2)"
+    ),
+    # every row is valid; the header's class count or input_dim alone is beyond the cap
+    "huge class count": (
+        data_file(dataset_bytes(c_l=2**32 - 1)),
+        DATA + "class counts must be in [1, 4096], got 4294967295 and 3",
+    ),
+    "wide dataset": (
+        data_file(dataset_bytes(input_dim=4097)), DATA + "input_dim must be in [1, 4096], got 4097"
+    ),
+    "geometry mismatch": (
+        data_file(generate_blobs(tiny_spec(input_dim=7)), "eval"),
+        "checkpoint input_dim 6 != dataset 7",
+    ),
+    "new class count mismatch": (
+        data_file(generate_blobs(tiny_spec(c_u=4)), "eval"), "checkpoint C_u 3 != dataset 4"
+    ),
+    "non-finite checkpoint": (nan_bias, "{tmp}/nan.omx: non-finite parameter"),
+}
+CONFIG, DIVERGED, IO = "config error: ", "divergence: ", "i/o error: "
+FAILURES = {
+    case: (build, code, kind + message)
+    for code, kind, rows in [(2, CONFIG, BAD_CONFIG), (3, DIVERGED, DIVERGING), (4, IO, BAD_FILES)]
+    for case, (build, message) in rows.items()
+}
+
+
+# model widths and batch sizes past their caps, each a --set on write_config(tmp)
+HUGE_WIDTHS = {
+    "feature_dim=1000000000000": WIDTHS,
+    "hidden_dims=100000000000": WIDTHS,
+    "batch_mixed=1000000000000": "batch_mixed must be <= 4096",
+    "batch_unlabeled=1000000000000": "batch_unlabeled must be <= 2048",
+}
+# config keys that were removed, each with a value it once took
+REMOVED_KEYS = {
+    "opm_softmax": "joint", "anchor_labels": "onehot", "rmsprop_rho": "0.9", "rmsprop_eps": "1e-8"
+}
+
+
+def assert_refused(row, pipeline, tmp_path, capsys):
+    """Run row's argv in process: its exit code, its one stderr line, no stdout, nothing made."""
+    build, code, line = row
+    argv = build(pipeline, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == ("", line.format(tmp=tmp_path) + "\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", list(FAILURES))
+def test_refused_input_exits_with_one_stderr_line(case, pipeline, tmp_path, capsys):
+    assert_refused(FAILURES[case], pipeline, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("setting", list(HUGE_WIDTHS))
+def test_huge_model_width_exits_2(setting, pipeline, tmp_path, capsys):
+    row = (configured(setting), 2, CONFIG + HUGE_WIDTHS[setting])
+    assert_refused(row, pipeline, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key,value", list(REMOVED_KEYS.items()))
+def test_removed_config_key_exits_2(key, value, pipeline, tmp_path, capsys):
+    row = (config_file(f"{key} = {value}\n".encode()), 2, CONFIG + f"line 1: unknown key '{key}'")
+    assert_refused(row, pipeline, tmp_path, capsys)
+
+
+def endless_dataset(p, tmp):
+    (tmp / cli.DATASET_FILE).symlink_to("/dev/zero")
+    return eval_argv(p, tmp)
+
+
+# The same contract in a fresh interpreter, under a 1 GiB address-space limit. It has
+# numpy's default warning setting, so an overflow on the way to a divergence must print
+# no RuntimeWarning; and an endless stream must be refused before it fills memory.
+FRESH_FAILURES = {
+    "divergence": (override("cluster", "lambda2=1e160"), 3, DIVERGED + MOMENTS),
+    "endless checkpoint": (
+        lambda p, tmp: eval_argv(p, p.root / "data", "/dev/zero"),
+        4,
+        IO + "/dev/zero: bad magic bytes, not a checkpoint",
+    ),
+    "endless dataset": (
+        endless_dataset, 4, IO + "{tmp}/dataset.bin: bad magic bytes, not a dataset"
+    ),
+}
+# an endless config or split spec, each refused at the text reader's size cap
+ENDLESS_CONFIGS = {
+    "config": (
+        lambda p, tmp: ["pretrain", "--config", "/dev/zero"],
+        2,
+        CONFIG + f"config /dev/zero is larger than {2**20} bytes",
+    ),
+    "spec": (
+        lambda p, tmp: ["gen-data", "--out", "unused", "--spec", "/dev/zero"],
+        2,
+        CONFIG + f"split spec /dev/zero is larger than {2**20} bytes",
+    ),
+}
+
+
+def assert_refused_fresh(row, pipeline, tmp_path):
+    """assert_refused for python -m openmix.cli, run in tmp_path with one BLAS thread."""
+    resource = pytest.importorskip("resource")
+    build, code, line = row
+    argv = build(pipeline, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "openmix.cli", *argv], capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env={**package_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    expected = (code, "", line.format(tmp=tmp_path) + "\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("case", list(FRESH_FAILURES))
+def test_refused_input_in_a_fresh_interpreter(case, pipeline, tmp_path):
+    assert_refused_fresh(FRESH_FAILURES[case], pipeline, tmp_path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("what", list(ENDLESS_CONFIGS))
+def test_endless_config_exits_2(what, pipeline, tmp_path):
+    assert_refused_fresh(ENDLESS_CONFIGS[what], pipeline, tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,9 @@ def test_pseudo_labels_assignment():
     assert np.array_equal(labels[2], np.array([0, 1.0, 0]))
     # theta2 > 0.5 makes assignments unique
     assert labels.sum(axis=1).max() <= 1.0
+    # the rule is p >= theta2: a row at exactly theta2 is assigned
+    tie, tied = losses.pseudo_labels(np.array([[0.75, 0.25]]), 0.75)
+    assert np.array_equal(tie, [[1.0, 0.0]]) and tied.all()
     with pytest.raises(ValueError):
         losses.pseudo_labels(nn.softmax(z), 0.5)
     # the fused call trains on the same assignment: g_pll = (p - label) / n_hat

@@ -151,6 +151,11 @@ def test_select_anchors_threshold_and_labels():
     assert np.array_equal(anchors.labels, np.array([[1.0, 0, 0], [0, 0, 1.0]]))
     empty = mixing.select_anchors(np.zeros((3, 3)), 0.9)
     assert len(empty) == 0
+    # a max probability of exactly theta2 is picked: theta2 is row 0's own softmax
+    # maximum (0.8807970779778823), an exact tie that softmax(log p) would not give
+    z = np.array([[2.0, 0.0], [0.0, 0.0]])
+    tie = mixing.select_anchors(z, float(nn.softmax(z)[0].max()))
+    assert np.array_equal(tie.indices, [0]) and np.array_equal(tie.labels, [[1.0, 0.0]])
 
 
 @pytest.mark.parametrize("theta2", [0.55, 0.9, 0.999])

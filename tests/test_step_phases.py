@@ -1,6 +1,5 @@
 """experiments/step_phases.py times the real trainer and leaves it as it found it."""
 
-import importlib.util
 import math
 import os
 import subprocess
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from openmix import mixing, train
+from helpers import load_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "experiments" / "step_phases.py"
@@ -27,15 +27,6 @@ SECTIONS = {
     ],
     "between clustering epochs": ["anchor refresh", "pool scoring", "evaluation"],
 }
-
-
-def load_tool(monkeypatch):
-    # loading the tool pins BLAS threads in os.environ; monkeypatch undoes it
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    spec = importlib.util.spec_from_file_location("step_phases", SCRIPT)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 def current(tool) -> list:
@@ -64,7 +55,7 @@ def test_prints_every_phase():
 
 
 def test_a_callee_that_records_no_call_is_named(monkeypatch):
-    tool = load_tool(monkeypatch)
+    tool = load_experiment(monkeypatch, "step_phases")
     originals = current(tool)
     # the trainer reaches mixing through a copy, as after a rename: no
     # wrapper sees those calls, which must not read as zero time
@@ -80,7 +71,7 @@ def test_a_callee_that_records_no_call_is_named(monkeypatch):
 
 
 def test_wrapped_attributes_restored_when_the_trainer_raises(monkeypatch):
-    tool = load_tool(monkeypatch)
+    tool = load_experiment(monkeypatch, "step_phases")
     originals = current(tool)
     inside = []
 

@@ -165,6 +165,11 @@ def test_attach_new_head_seeded_reset():
     fresh = model.new_head.w.copy()
     train.attach_new_head(model, ds.c_u, seed=99)
     assert np.array_equal(model.new_head.w, fresh)
+    # the head is the seed's own draw, and another seed draws another head
+    drawn = nn._init_affine(model.feature_dim, ds.c_u, np.random.default_rng(99))
+    assert np.array_equal(model.new_head.w, drawn.w) and np.array_equal(model.new_head.b, drawn.b)
+    train.attach_new_head(model, ds.c_u, seed=98)
+    assert not np.array_equal(model.new_head.w, fresh)
 
 
 def test_evaluate_reads_truth_once_and_matches_metrics():
